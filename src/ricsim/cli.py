@@ -15,6 +15,7 @@ from .experiment import (
     run,
     sweep,
 )
+from .sdl import ValidationError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,25 +45,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: Optional[str]) -> ExperimentConfig:
-    return load_experiment_config(path) if path else ExperimentConfig()
+    if not path:
+        return ExperimentConfig()
+    try:
+        return load_experiment_config(path)
+    except (OSError, ValueError) as exc:  # unreadable file or invalid JSON
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+
+
+def _seeds(args: argparse.Namespace) -> List[int]:
+    if not args.seed_list:
+        return list(range(args.seeds))
+    try:
+        return [int(s) for s in args.seed_list.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--seed-list takes comma-separated integers: {exc}") from exc
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = _load_config(args.config)
-
-    if args.command == "run":
-        result = run(config, args.mode, args.seed, out_dir=args.out)
-        json.dump(result_to_dict(result), sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 0
-
-    if args.seed_list:
-        seeds = [int(s) for s in args.seed_list.split(",") if s.strip()]
-    else:
-        seeds = list(range(args.seeds))
-    modes = MODES if args.modes == "all" else tuple(args.modes.split(","))
-    table, _ = sweep(config, seeds, modes=modes, out_dir=args.out)
+    """Run the command; invalid input exits with status 2 and a usage message."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _load_config(args.config)
+        if args.command == "run":
+            result = run(config, args.mode, args.seed, out_dir=args.out)
+            json.dump(result_to_dict(result), sys.stdout, indent=2, sort_keys=True)
+            print()
+            return 0
+        modes = MODES if args.modes == "all" else tuple(args.modes.split(","))
+        table, _ = sweep(config, _seeds(args), modes=modes, out_dir=args.out)
+    except ValidationError as exc:
+        parser.error(str(exc))
     print(table.render())
     return 0
 

@@ -10,20 +10,18 @@ conflict report once they cross a threshold.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .sdl import (
     ControlRecord,
     ControlTarget,
     CounterKey,
-    DegradationRecord,
     ParameterGroupDef,
     Scope,
     SdlStore,
@@ -212,7 +210,6 @@ class PerformanceMonitor:
 
     def __init__(
         self,
-        store: SdlStore,
         window: int = 20,
         sigma: float = 3.0,
         stdev_floor: float = 1e-6,
@@ -222,7 +219,6 @@ class PerformanceMonitor:
             raise ValidationError("window must hold at least two samples")
         if sigma <= 0 or stdev_floor <= 0:
             raise ValidationError("sigma and stdev_floor must be positive")
-        self.store = store
         self.window = window
         self.sigma = sigma
         self.stdev_floor = stdev_floor
@@ -258,15 +254,6 @@ class PerformanceMonitor:
                     window_mean=mean,
                     window_stdev=stdev,
                 )
-                self.store.record_degradation(
-                    DegradationRecord(
-                        event_id=event.event_id,
-                        ts=event.ts,
-                        kpi_name=event.kpi_name,
-                        cell_id=event.cell_id,
-                        magnitude=event.magnitude,
-                    )
-                )
         win.append(point.value)
         return event
 
@@ -276,24 +263,20 @@ class PerformanceMonitor:
 
 @dataclass
 class ImplicitConfig:
-    """Correlation settings plus live attachment maps for target resolution.
+    """Correlation settings plus the live attachment map for target resolution.
 
-    `cell_of_ue` and `ue_of_bearer` may be shared, mutable mappings owned by
-    the caller; they are read at correlation time with current content.
+    `cell_of_ue` may be a shared, mutable mapping owned by the caller; it is
+    read at correlation time with current content.
     """
 
     lookback_ms: int = 10_000
     threshold: int = 3
     cell_of_ue: Mapping[str, str] = field(default_factory=dict)
-    ue_of_bearer: Mapping[str, str] = field(default_factory=dict)
 
     def resolve_cell(self, target: ControlTarget) -> Optional[str]:
         if target.scope is Scope.CELL:
             return target.id
-        if target.scope is Scope.UE:
-            return self.cell_of_ue.get(target.id)
-        ue = self.ue_of_bearer.get(target.id)
-        return self.cell_of_ue.get(ue) if ue is not None else None
+        return self.cell_of_ue.get(target.id)
 
 
 def correlate_implicit(
@@ -333,7 +316,7 @@ def correlate_implicit(
     for (name, target), (xapps, msg_ids) in touched.items():
         if len(xapps) >= 2:
             key: CounterKey = (tuple(sorted(xapps)), name, target)
-            store.bump_counter(key, te, msg_ids=msg_ids)
+            store.bump_counter(key, msg_ids=msg_ids)
             keys.append(key)
     keys.sort(key=counter_sort_key)
     return keys
@@ -342,8 +325,7 @@ def correlate_implicit(
 def check_thresholds(store: SdlStore, threshold: int) -> List[ConflictReport]:
     """Turn saturated counters into implicit conflict reports.
 
-    Each reported counter is reset, and degradation records older than its
-    triggering event are purged; the trigger itself is retained.
+    Each reported counter is reset.
     """
     reports = []
     for ctr in store.counters_over(threshold):
@@ -358,25 +340,11 @@ def check_thresholds(store: SdlStore, threshold: int) -> List[ConflictReport]:
                 evidence=ImplicitEvidence(key=ctr.key, count=ctr.count),
             )
         )
-        trigger_ts = ctr.last_update_ts
         store.reset_counter(ctr.key)
-        store.purge_degradations(trigger_ts)
     return reports
 
 
 # -- configuration loading ------------------------------------------------------------
-
-
-def load_parameter_groups(path: str) -> List[ParameterGroupDef]:
-    """Read parameter group definitions from a JSON file.
-
-    Format: [{"group_id": "...", "scope": "cell|ue|bearer", "members": [...]}]
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValidationError("parameter group file must contain a JSON list")
-    return [parameter_group_from_dict(entry) for entry in raw]
 
 
 def parameter_group_from_dict(entry: Mapping) -> ParameterGroupDef:

@@ -5,6 +5,7 @@ period the KPI window closes, the monitor scans per-cell KPI streams for
 degradations (feeding the post-action detector), then both xApps submit
 their control messages through the pipeline, and allowed messages hit the
 network. Post-warmup KPI windows are aggregated into the run result.
+The decision period is the KPI window, `ScenarioConfig.kpi_window_ms`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .detection import (
     ImplicitConfig,
@@ -25,7 +26,7 @@ from .detection import (
     PerformanceMonitor,
     parameter_group_from_dict,
 )
-from .ran.config import ScenarioConfig, scenario_from_dict
+from .ran.config import ScenarioConfig, config_from_dict, scenario_from_dict
 from .ran.world import KPI_NAMES, build_scenario
 from .resolution import (
     ConflictPipeline,
@@ -34,7 +35,15 @@ from .resolution import (
     control_record_to_dict,
 )
 from .sdl import ParameterGroupDef, Scope, SdlStore, ValidationError
-from .xapps import MLB_XAPP_ID, MRO_XAPP_ID, XappConfig, mlb_decide, mro_decide
+from .xapps import (
+    MLB_XAPP_ID,
+    MRO_XAPP_ID,
+    MlbConfig,
+    MroConfig,
+    XappConfig,
+    mlb_decide,
+    mro_decide,
+)
 
 MODES = ("disabled", "prioritize-mro", "prioritize-mlb")
 
@@ -76,7 +85,6 @@ class PipelineConfig:
     implicit_lookback_ms: int = 10_000
     implicit_threshold: int = 3
     quarantine_ms: int = 10_000
-    processing_delay_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.monitor_window < 2 or self.monitor_sigma <= 0:
@@ -85,8 +93,6 @@ class PipelineConfig:
             raise ValidationError("lookback and quarantine must be non-negative")
         if self.implicit_threshold < 1:
             raise ValidationError("implicit threshold must be at least 1")
-        if self.processing_delay_ms < 0:
-            raise ValidationError("processing delay cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -96,36 +102,24 @@ class ExperimentConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     parameter_groups: Tuple[ParameterGroupDef, ...] = DEFAULT_GROUPS
 
-    def __post_init__(self) -> None:
-        if self.scenario.kpi_window_ms != self.xapps.decision_period_ms:
-            raise ValidationError("decision period must equal the KPI window")
 
-
-def experiment_from_dict(data: dict) -> ExperimentConfig:
+def experiment_from_dict(data: Mapping) -> ExperimentConfig:
     """Build a config from parsed JSON; unknown keys are rejected."""
-    known = {"scenario", "xapps", "pipeline", "parameter_groups"}
-    extra = set(data) - known
-    if extra:
-        raise ValidationError(f"unknown config keys: {sorted(extra)}")
-    kw: Dict[str, object] = {}
-    if "scenario" in data:
-        kw["scenario"] = scenario_from_dict(data["scenario"])
-    if "xapps" in data:
-        x = dict(data["xapps"])
-        from .xapps import MlbConfig, MroConfig
-
-        if "mro" in x:
-            x["mro"] = MroConfig(**x["mro"])
-        if "mlb" in x:
-            x["mlb"] = MlbConfig(**x["mlb"])
-        kw["xapps"] = XappConfig(**x)
-    if "pipeline" in data:
-        kw["pipeline"] = PipelineConfig(**data["pipeline"])
-    if "parameter_groups" in data:
-        kw["parameter_groups"] = tuple(
-            parameter_group_from_dict(g) for g in data["parameter_groups"]
-        )
-    return ExperimentConfig(**kw)
+    return config_from_dict(
+        ExperimentConfig,
+        data,
+        "config",
+        scenario=scenario_from_dict,
+        xapps=lambda raw: config_from_dict(
+            XappConfig,
+            raw,
+            "xapps",
+            mro=lambda r: config_from_dict(MroConfig, r, "xapps.mro"),
+            mlb=lambda r: config_from_dict(MlbConfig, r, "xapps.mlb"),
+        ),
+        pipeline=lambda raw: config_from_dict(PipelineConfig, raw, "pipeline"),
+        parameter_groups=lambda raw: tuple(parameter_group_from_dict(g) for g in raw),
+    )
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -169,17 +163,23 @@ class RunResult:
         ]
 
 
+def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def run(
     config: ExperimentConfig,
     mode: str,
     seed: int,
     out_dir: Optional[str] = None,
-    bypass_pipeline: bool = False,
 ) -> RunResult:
     """One deterministic simulation under the given mitigation mode.
 
-    With `bypass_pipeline` the messages skip the RIC entirely and apply
-    directly, which must be indistinguishable from a disabled pipeline.
+    With `out_dir` the run keeps its world events, control messages and
+    verdicts and writes them there with the result; without it no log is
+    kept. Either way the trajectory is the same.
     """
     policy = policy_for_mode(mode)
     scen = config.scenario.with_seed(seed)
@@ -189,11 +189,12 @@ def run(
     store = SdlStore()
     for g in config.parameter_groups:
         store.add_parameter_group(g)
-    monitor = PerformanceMonitor(
-        store, window=pcfg.monitor_window, sigma=pcfg.monitor_sigma
-    )
+    monitor = PerformanceMonitor(window=pcfg.monitor_window, sigma=pcfg.monitor_sigma)
     cell_of_ue: Dict[str, str] = {}
-    verdict_lines: List[dict] = []
+    # file suffix -> lines, kept only when they are written
+    logs: Optional[Dict[str, List[dict]]] = (
+        None if out_dir is None else {"events": [], "messages": [], "verdicts": []}
+    )
     pipeline = ConflictPipeline(
         store,
         policy,
@@ -203,34 +204,31 @@ def run(
             cell_of_ue=cell_of_ue,
         ),
         quarantine_ms=pcfg.quarantine_ms,
-        processing_delay_ms=pcfg.processing_delay_ms,
-        verdict_sink=verdict_lines.append,
+        verdict_sink=None if logs is None else logs["verdicts"].append,
     )
     ids = itertools.count(1)
 
     ticks_per_window = scen.kpi_window_ms // scen.tick_ms
     n_windows = scen.duration_ms // scen.kpi_window_ms
-    conflicts = {"direct": 0, "indirect": 0, "implicit": 0}
     kpi_totals = {name: 0.0 for name in KPI_NAMES}
     mean_windows = 0
-    event_log: List[dict] = []
-    message_log: List[dict] = []
 
     for _ in range(n_windows):
         for _ in range(ticks_per_window):
             world.step()
         now = world.now_ms
         per_cell, network = world.collect_kpis()
-        event_log.extend(world.drain_events())
+        events = world.drain_events()
+        if logs is not None:
+            logs["events"].extend(events)
 
-        if not bypass_pipeline:
-            cell_of_ue.clear()
-            cell_of_ue.update(world.ue_cells())
-            for s in per_cell:
-                for kpi in KPI_NAMES:
-                    ev = monitor.observe(KpiPoint(s.window_end_ts, kpi, s.cell_id, s.value(kpi)))
-                    if ev is not None:
-                        conflicts["implicit"] += len(pipeline.on_degradation(ev))
+        cell_of_ue.clear()
+        cell_of_ue.update(world.ue_cells())
+        for s in per_cell:
+            for kpi in KPI_NAMES:
+                ev = monitor.observe(KpiPoint(s.window_end_ts, kpi, s.cell_id, s.value(kpi)))
+                if ev is not None:
+                    pipeline.on_degradation(ev)
 
         params = world.control_params()
         msgs = mro_decide(per_cell, params, scen, config.xapps, ids, now)
@@ -242,17 +240,11 @@ def run(
         msgs = pipeline.serve_order(msgs)
         msgs = [dataclasses.replace(m, ts=now + i) for i, m in enumerate(msgs)]
         for rec in msgs:
-            message_log.append(control_record_to_dict(rec))
-            if bypass_pipeline:
+            if logs is not None:
+                logs["messages"].append(control_record_to_dict(rec))
+            if pipeline.process_control_message(rec).decision is Decision.ALLOW:
                 world.apply_control(rec)
-                continue
-            verdict = pipeline.process_control_message(rec)
-            for rep in verdict.reports:
-                conflicts[rep.kind.value] += 1
-            if verdict.decision is Decision.ALLOW:
-                world.apply_control(rec)
-        if not bypass_pipeline:
-            store.expire(now)
+        store.expire(now)
 
         if now > scen.warmup_ms:
             kpi_totals["mean_bs_load"] += network.mean_bs_load
@@ -272,25 +264,18 @@ def run(
         kpis=kpi_totals,
         allowed_by_xapp=dict(pipeline.allowed_by_xapp),
         blocked_by_xapp=dict(pipeline.blocked_by_xapp),
-        conflicts=conflicts,
+        conflicts={kind.value: n for kind, n in pipeline.conflicts_by_kind.items()},
         fingerprint=world.fingerprint(),
     )
     if mode == "disabled" and result.blocked:
         raise AssertionError("a disabled pipeline must never block")
 
-    if out_dir is not None:
+    if logs is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         stem = f"{mode}_seed{seed}"
-        with open(out / f"{stem}_events.jsonl", "w", encoding="utf-8") as fh:
-            for ev in event_log:
-                fh.write(json.dumps(ev, sort_keys=True) + "\n")
-        with open(out / f"{stem}_verdicts.jsonl", "w", encoding="utf-8") as fh:
-            for line in verdict_lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
-        with open(out / f"{stem}_messages.jsonl", "w", encoding="utf-8") as fh:
-            for line in message_log:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+        for suffix, rows in logs.items():
+            _write_jsonl(out / f"{stem}_{suffix}.jsonl", rows)
         with open(out / f"{stem}_result.json", "w", encoding="utf-8") as fh:
             json.dump(result_to_dict(result), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Mapping, Tuple
+from typing import Callable, Mapping, Tuple
 
 from ..sdl import ValidationError
 from .radio import RadioConfig
@@ -80,23 +80,32 @@ class ScenarioConfig:
         return dataclasses.replace(self, seed=seed)
 
 
+def config_from_dict(cls, data: Mapping, what: str, **convert: Callable):
+    """Build the config dataclass `cls` from a parsed JSON object.
+
+    Unknown keys and values of the wrong type raise a ValidationError that
+    names them. `convert` maps a field name to a function applied to its
+    raw value first.
+    """
+    if not isinstance(data, Mapping):
+        raise ValidationError(f"{what} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    try:
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in data.items()})
+    except TypeError as exc:
+        raise ValidationError(f"bad {what} value: {exc}") from exc
+
+
 def scenario_from_dict(data: Mapping) -> ScenarioConfig:
     """Build a config from a plain dict, rejecting unknown keys."""
-    data = dict(data)
-    radio_raw = data.pop("radio", None)
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
-    for key in ("profile_probs", "profile_bitrates_mbps", "hysteresis_range_db",
-                "cio_range_db", "ttt_ladder_ms"):
-        if key in data:
-            data[key] = tuple(data[key])
-    kwargs = dict(data)
-    if radio_raw is not None:
-        radio_known = {f.name for f in dataclasses.fields(RadioConfig)}
-        bad = set(radio_raw) - radio_known
-        if bad:
-            raise ValidationError(f"unknown radio fields: {sorted(bad)}")
-        kwargs["radio"] = RadioConfig(**radio_raw)
-    return ScenarioConfig(**kwargs)
+    tuples = ("profile_probs", "profile_bitrates_mbps", "hysteresis_range_db",
+              "cio_range_db", "ttt_ladder_ms")
+    return config_from_dict(
+        ScenarioConfig,
+        data,
+        "scenario",
+        radio=lambda raw: config_from_dict(RadioConfig, raw, "radio"),
+        **{key: tuple for key in tuples},
+    )

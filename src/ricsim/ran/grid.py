@@ -56,20 +56,6 @@ def contains(vertices: np.ndarray, points: np.ndarray, eps: float = 1e-9) -> np.
     return (dots >= -eps).all(axis=1)
 
 
-def reflect_into(vertices: np.ndarray, point: np.ndarray, max_iter: int = 8) -> np.ndarray:
-    """Mirror an outside point across violated edges until it lands inside."""
-    normals = _edge_normals(vertices)
-    p = np.asarray(point, dtype=float).copy()
-    for _ in range(max_iter):
-        dots = np.einsum("ek,ek->e", p[None, :] - vertices, normals)
-        worst = int(np.argmin(dots))
-        if dots[worst] >= 0:
-            return p
-        p = p - 2.0 * dots[worst] * normals[worst]
-    # pathological overshoot: fall back to the polygon centroid
-    return vertices.mean(axis=0)
-
-
 def random_points(vertices: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points inside the polygon via rejection from its bounding box."""
     lo = vertices.min(axis=0)

@@ -108,22 +108,6 @@ def shadowing_db(
     return cfg.shadow_sigma_db * acc / np.sqrt(wsq)[:, None]
 
 
-def rsrp_matrix_dbm(
-    bs_pos: np.ndarray,
-    ue_pos: np.ndarray,
-    ue_idx: np.ndarray,
-    seed: int,
-    cfg: RadioConfig,
-) -> np.ndarray:
-    """Received power from every site at every UE, shape (n_ue, n_bs)."""
-    d = np.hypot(
-        ue_pos[:, None, 0] - bs_pos[None, :, 0],
-        ue_pos[:, None, 1] - bs_pos[None, :, 1],
-    )
-    shadow = shadowing_db(seed, np.arange(len(bs_pos)), ue_idx, ue_pos, cfg)
-    return cfg.tx_power_dbm - path_loss_db(d, cfg) - shadow
-
-
 def sinr_db(rsrp_dbm: np.ndarray, serving: np.ndarray, noise_dbm: float) -> np.ndarray:
     """Per-UE SINR on the serving link, all other sites as interference."""
     linear = 10.0 ** (rsrp_dbm / 10.0)

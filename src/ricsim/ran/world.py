@@ -17,7 +17,6 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -25,8 +24,6 @@ import numpy as np
 from ..sdl import ControlRecord, Scope, ValidationError
 from . import grid, radio
 from .config import ScenarioConfig
-
-PROFILE_NAMES = ("low", "medium", "high")
 
 KPI_NAMES = (
     "mean_bs_load",
@@ -36,36 +33,6 @@ KPI_NAMES = (
     "handovers",
     "pingpong_handovers",
 )
-
-
-class MobilityClass(Enum):
-    PEDESTRIAN = "pedestrian"
-    VEHICLE = "vehicle"
-
-
-@dataclass(frozen=True)
-class BaseStation:
-    cell_id: str
-    x: float
-    y: float
-    tx_power_dbm: float
-    capacity_units: float
-    hysteresis_db: float
-    ttt_ms: int
-    cio_db: float
-
-
-@dataclass(frozen=True)
-class UserEquipment:
-    ue_id: str
-    x: float
-    y: float
-    mobility_class: MobilityClass
-    profile: str
-    target_mbps: float
-    serving_cell: str
-    session_active: bool
-    in_outage: bool
 
 
 @dataclass(frozen=True)
@@ -216,31 +183,6 @@ class WorldState:
             }
             for i, cid in enumerate(self.cell_ids)
         }
-
-    def base_station(self, i: int) -> BaseStation:
-        return BaseStation(
-            cell_id=self.cell_ids[i],
-            x=float(self.bs_pos[i, 0]),
-            y=float(self.bs_pos[i, 1]),
-            tx_power_dbm=self.cfg.radio.tx_power_dbm,
-            capacity_units=self.cfg.capacity_units,
-            hysteresis_db=float(self.hysteresis[i]),
-            ttt_ms=int(self.ttt[i]),
-            cio_db=float(self.cio[i]),
-        )
-
-    def user(self, i: int) -> UserEquipment:
-        return UserEquipment(
-            ue_id=self.ue_ids[i],
-            x=float(self.pos[i, 0]),
-            y=float(self.pos[i, 1]),
-            mobility_class=MobilityClass.VEHICLE if self.is_vehicle[i] else MobilityClass.PEDESTRIAN,
-            profile=PROFILE_NAMES[self.profile[i]],
-            target_mbps=float(self.target_mbps[i]),
-            serving_cell=self.cell_ids[self.serving[i]],
-            session_active=bool(self.session_active[i]),
-            in_outage=bool(self.in_outage[i]),
-        )
 
     def drain_events(self) -> List[dict]:
         out = self._events

@@ -123,18 +123,14 @@ class ConflictPipeline:
         *,
         implicit_config: Optional[ImplicitConfig] = None,
         quarantine_ms: int = 10_000,
-        processing_delay_ms: int = 0,
         verdict_sink: Optional[Callable[[dict], None]] = None,
     ) -> None:
         if quarantine_ms <= 0:
             raise ValidationError("quarantine_ms must be positive")
-        if processing_delay_ms < 0:
-            raise ValidationError("processing_delay_ms cannot be negative")
         self.store = store
         self.policy = policy
         self.implicit_config = implicit_config or ImplicitConfig()
         self.quarantine_ms = quarantine_ms
-        self.processing_delay_ms = processing_delay_ms
         self.verdict_sink = verdict_sink
         # (xapp_id, parameter-or-group name, target) -> blocked while now < expiry
         self._quarantine: Dict[Tuple[str, str, ControlTarget], int] = {}
@@ -227,9 +223,6 @@ class ConflictPipeline:
                     quarantined = tuple(offenders)
             outcomes.append(ImplicitOutcome(rep, decision, quarantined))
         return outcomes
-
-    def quarantine_entries(self) -> Tuple[Tuple[str, str, ControlTarget, int], ...]:
-        return tuple((x, n, t, e) for (x, n, t), e in self._quarantine.items())
 
 
 # -- wire formats -----------------------------------------------------------------

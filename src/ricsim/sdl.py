@@ -1,17 +1,17 @@
 """Shared data layer for the conflict mitigation pipeline.
 
 Holds the state the RIC components exchange: control records written by
-xApps, their parameter-group projections, KPI degradation records from the
-performance monitor, and the counters used by implicit conflict detection.
+xApps, their parameter-group projections, and the counters used by
+implicit conflict detection.
 Everything is kept in insertion order so that iteration is reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 class StoreError(Exception):
@@ -31,7 +31,6 @@ class Scope(Enum):
 
     CELL = "cell"
     UE = "ue"
-    BEARER = "bearer"
 
 
 @dataclass(frozen=True)
@@ -164,23 +163,6 @@ class GroupChangeRecord(_Lifetime):
         )
 
 
-@dataclass(frozen=True)
-class DegradationRecord:
-    """One adverse KPI deviation flagged by the performance monitor."""
-
-    event_id: int
-    ts: int
-    kpi_name: str
-    cell_id: str
-    magnitude: float
-
-    def __post_init__(self) -> None:
-        if not self.kpi_name or not self.cell_id:
-            raise ValidationError("kpi_name and cell_id must be non-empty")
-        if not (isinstance(self.magnitude, (int, float)) and self.magnitude > 0):
-            raise ValidationError("magnitude must be positive")
-
-
 # (sorted xapp ids, parameter or group name, target)
 CounterKey = Tuple[Tuple[str, ...], str, ControlTarget]
 
@@ -196,7 +178,6 @@ class ImplicitCounter:
 
     key: CounterKey
     count: int = 0
-    last_update_ts: int = 0
     msg_ids: Tuple[int, ...] = ()
 
 
@@ -207,10 +188,7 @@ class SdlStore:
     uniqueness and performs lifecycle management (supersession, expiry).
     """
 
-    def __init__(self, degradation_horizon_ms: int = 60_000) -> None:
-        if degradation_horizon_ms <= 0:
-            raise ValidationError("degradation horizon must be positive")
-        self.degradation_horizon_ms = degradation_horizon_ms
+    def __init__(self) -> None:
         # dicts keep insertion order; the per-target views let the
         # detectors read one target without scanning the whole store
         self._controls: Dict[int, ControlRecord] = {}
@@ -218,8 +196,6 @@ class SdlStore:
         self._group_changes: Dict[Tuple[int, str], GroupChangeRecord] = {}
         self._groups_at: Dict[Tuple[ControlTarget, str], Dict[int, GroupChangeRecord]] = {}
         self._group_defs: Dict[str, ParameterGroupDef] = {}
-        self._degradations: List[DegradationRecord] = []
-        self._degradation_ids: set = set()
         self._counters: Dict[CounterKey, ImplicitCounter] = {}
 
     # -- control records ----------------------------------------------------
@@ -243,7 +219,7 @@ class SdlStore:
     def all_controls(self) -> Tuple[ControlRecord, ...]:
         return tuple(self._controls.values())
 
-    def supersede(self, rec: ControlRecord, now: Optional[int] = None) -> List[int]:
+    def supersede(self, rec: ControlRecord) -> List[int]:
         """Drop older active records this one replaces.
 
         A record is replaced when it is still active, comes from the same
@@ -251,14 +227,13 @@ class SdlStore:
         with `rec`. Group-change entries of replaced records go with them.
         Returns the msg_ids removed.
         """
-        t = rec.ts if now is None else now
         params = rec.parameters()
         removed = [
             old
             for old in self._controls_at.get(rec.target, {}).values()
             if old.msg_id != rec.msg_id
             and old.xapp_id == rec.xapp_id
-            and old.active_at(t)
+            and old.active_at(rec.ts)
             and old.parameters() & params
         ]
         for old in removed:
@@ -310,36 +285,14 @@ class SdlStore:
     def all_group_changes(self) -> Tuple[GroupChangeRecord, ...]:
         return tuple(self._group_changes.values())
 
-    # -- degradation records --------------------------------------------------
-
-    def record_degradation(self, rec: DegradationRecord) -> None:
-        if rec.event_id in self._degradation_ids:
-            raise DuplicateRecordError(f"event_id {rec.event_id} already recorded")
-        self._degradations.append(rec)
-        self._degradation_ids.add(rec.event_id)
-
-    def degradations(self) -> Tuple[DegradationRecord, ...]:
-        return tuple(self._degradations)
-
-    def purge_degradations(self, before_ts: int) -> int:
-        """Remove degradation records strictly older than `before_ts`."""
-        keep = [r for r in self._degradations if r.ts >= before_ts]
-        purged = len(self._degradations) - len(keep)
-        for r in self._degradations:
-            if r.ts < before_ts:
-                self._degradation_ids.discard(r.event_id)
-        self._degradations = keep
-        return purged
-
     # -- implicit conflict counters -------------------------------------------
 
-    def bump_counter(self, key: CounterKey, now: int, msg_ids: Iterable[int] = ()) -> int:
+    def bump_counter(self, key: CounterKey, msg_ids: Iterable[int] = ()) -> int:
         ctr = self._counters.get(key)
         if ctr is None:
             ctr = ImplicitCounter(key=key)
             self._counters[key] = ctr
         ctr.count += 1
-        ctr.last_update_ts = now
         merged = set(ctr.msg_ids) | set(msg_ids)
         ctr.msg_ids = tuple(sorted(merged))
         return ctr.count
@@ -365,8 +318,7 @@ class SdlStore:
         """Purge entries that can no longer matter at time `now`.
 
         Control and group-change records whose span has run out
-        (ts + span <= now) are dropped, as are degradation records older
-        than the retention horizon. Records without a span never run out;
+        (ts + span <= now) are dropped. Records without a span never run out;
         they leave the store when superseded. Returns the number of entries
         purged. Queries at times >= now are unaffected by expiry.
         """
@@ -376,7 +328,6 @@ class SdlStore:
         for gc in [g for g in self._group_changes.values() if g.closed_by(now)]:
             self._remove_group_change(gc)
             purged += 1
-        purged += self.purge_degradations(now - self.degradation_horizon_ms)
         return purged
 
     def dump(self) -> Tuple:
@@ -384,6 +335,5 @@ class SdlStore:
         return (
             self.all_controls(),
             self.all_group_changes(),
-            tuple(self._degradations),
-            tuple((k, c.count, c.last_update_ts, c.msg_ids) for k, c in self._counters.items()),
+            tuple((k, c.count, c.msg_ids) for k, c in self._counters.items()),
         )

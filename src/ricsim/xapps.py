@@ -53,13 +53,10 @@ class MlbConfig:
 
 @dataclass(frozen=True)
 class XappConfig:
-    decision_period_ms: int = 5000
+    """Settings of both xApps; they decide once per `ScenarioConfig.kpi_window_ms`."""
+
     mro: MroConfig = field(default_factory=MroConfig)
     mlb: MlbConfig = field(default_factory=MlbConfig)
-
-    def __post_init__(self) -> None:
-        if self.decision_period_ms <= 0:
-            raise ValidationError("decision period must be positive")
 
 
 def _ttt_up(ladder: Sequence[int], current: float) -> int:

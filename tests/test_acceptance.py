@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from detection_oracle import random_log, replay_reports
+from passthrough import run_bypassing_ric
 from ricsim.detection import (
     DegradationEvent,
     KpiPoint,
@@ -104,14 +105,16 @@ def test_pipeline_bypass_identity(full_sweep):
     disabled = {r.seed: r for r in results if r.mode == "disabled"}
     seeds = list(range(5))
     for seed in seeds:
-        direct = run(config, "disabled", seed, bypass_pipeline=True)
+        direct, passthrough = run_bypassing_ric(config, seed)
+        # every message of the run went through the pass-through, none through the RIC
+        assert passthrough.calls == direct.allowed == disabled[seed].allowed > 0, f"seed {seed}"
         assert direct.fingerprint == disabled[seed].fingerprint, f"seed {seed}"
         assert direct.kpis == disabled[seed].kpis, f"seed {seed}"
     _verdict(
         2,
         True,
-        f"disabled-mode trajectory is bit-identical to a pipeline-bypassed "
-        f"build for seeds {seeds}",
+        f"disabled-mode trajectory is bit-identical to a run whose messages "
+        f"skip the RIC for seeds {seeds}",
     )
 
 
@@ -226,7 +229,7 @@ def test_monitor_flags_step_and_low_false_positive_rate():
     window = 20
 
     rng = np.random.default_rng(5)
-    monitor = PerformanceMonitor(SdlStore(), window=window, sigma=3.0)
+    monitor = PerformanceMonitor(window=window, sigma=3.0)
     for i, value in enumerate(rng.standard_normal(window)):
         assert monitor.observe(KpiPoint(i, "rlfs", "c1", float(value))) is None
 
@@ -235,7 +238,7 @@ def test_monitor_flags_step_and_low_false_positive_rate():
     assert step is not None and step.magnitude > 3.0
 
     n_noise = 10_000
-    monitor = PerformanceMonitor(SdlStore(), window=window, sigma=3.0)
+    monitor = PerformanceMonitor(window=window, sigma=3.0)
     false_positives = 0
     for i, value in enumerate(rng.standard_normal(n_noise + window)):
         if monitor.observe(KpiPoint(i, "rlfs", "c1", float(value))) is not None:

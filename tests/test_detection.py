@@ -24,7 +24,6 @@ from ricsim.detection import (
 from ricsim.sdl import (
     ControlRecord,
     ControlTarget,
-    DegradationRecord,
     GroupChangeRecord,
     ParameterGroupDef,
     Scope,
@@ -212,18 +211,17 @@ def feed(mon, values, kpi="rlfs", cell_id="c1", start=0, step=5000):
 
 
 def test_pmon_quiet_on_steady_stream():
-    mon = PerformanceMonitor(SdlStore(), window=20)
+    mon = PerformanceMonitor(window=20)
     assert feed(mon, [1.0, 1.2] * 30) == []
 
 
 def test_pmon_needs_full_window():
-    mon = PerformanceMonitor(SdlStore(), window=20)
+    mon = PerformanceMonitor(window=20)
     assert feed(mon, [0.0] * 19 + [100.0]) == []
 
 
 def test_pmon_flags_step_with_hand_computed_magnitude():
-    store = SdlStore()
-    mon = PerformanceMonitor(store, window=20)
+    mon = PerformanceMonitor(window=20)
     base = [1.0, 2.0] * 10
     events = feed(mon, base + [50.0])
     assert len(events) == 1
@@ -233,32 +231,29 @@ def test_pmon_flags_step_with_hand_computed_magnitude():
     assert ev.window_mean == pytest.approx(statistics.mean(base))
     assert ev.window_stdev == pytest.approx(statistics.stdev(base))
     assert ev.kpi_name == "rlfs" and ev.cell_id == "c1"
-    # the event is persisted for later correlation
-    assert [d.event_id for d in store.degradations()] == [ev.event_id]
-    assert store.degradations()[0].magnitude == pytest.approx(expected_z)
 
 
 def test_pmon_satisfaction_drop_is_adverse():
-    mon = PerformanceMonitor(SdlStore(), window=20)
+    mon = PerformanceMonitor(window=20)
     base = [0.94, 0.96] * 10
     events = feed(mon, base + [0.2], kpi="mean_user_satisfaction")
     assert len(events) == 1
     expected_z = (statistics.mean(base) - 0.2) / statistics.stdev(base)
     assert events[0].magnitude == pytest.approx(expected_z)
     # an upward move in satisfaction is not a degradation
-    mon2 = PerformanceMonitor(SdlStore(), window=20)
+    mon2 = PerformanceMonitor(window=20)
     assert feed(mon2, base + [1.0], kpi="mean_user_satisfaction") == []
 
 
 def test_pmon_stdev_floor_keeps_constant_streams_usable():
-    mon = PerformanceMonitor(SdlStore(), window=20)
+    mon = PerformanceMonitor(window=20)
     events = feed(mon, [1.0] * 20 + [1.5])
     assert len(events) == 1
     assert events[0].magnitude == pytest.approx(0.5 / 1e-6)
 
 
 def test_pmon_rejects_time_going_backwards():
-    mon = PerformanceMonitor(SdlStore(), window=20)
+    mon = PerformanceMonitor(window=20)
     mon.observe(KpiPoint(ts=1000, kpi_name="rlfs", cell_id="c1", value=1.0))
     with pytest.raises(ValidationError):
         mon.observe(KpiPoint(ts=999, kpi_name="rlfs", cell_id="c1", value=1.0))
@@ -274,8 +269,8 @@ def test_pmon_rejects_nonfinite_value():
 @given(st.lists(st.floats(-100, 100), min_size=0, max_size=60))
 @settings(max_examples=100)
 def test_pmon_deterministic_for_identical_streams(values):
-    a = PerformanceMonitor(SdlStore(), window=10)
-    b = PerformanceMonitor(SdlStore(), window=10)
+    a = PerformanceMonitor(window=10)
+    b = PerformanceMonitor(window=10)
     assert feed(a, values) == feed(b, values)
 
 
@@ -369,9 +364,6 @@ def test_check_thresholds_reports_and_resets():
     store.record_control(rec(2, ts=0, span=60_000, xapp="x2", changes={"p": 2.0}))
     for i in range(3):
         ev = degradation(event_id=i + 1, ts=10_000 + i * 1000)
-        store.record_degradation(
-            DegradationRecord(ev.event_id, ev.ts, ev.kpi_name, ev.cell_id, ev.magnitude)
-        )
         keys = correlate_implicit(ev, store, cfg)
         if i < 2:
             assert check_thresholds(store, cfg.threshold) == []
@@ -387,8 +379,6 @@ def test_check_thresholds_reports_and_resets():
     # counter was consumed
     assert store.get_counter(keys[0]).count == 0
     assert check_thresholds(store, cfg.threshold) == []
-    # degradation records older than the trigger are gone, the trigger stays
-    assert [d.event_id for d in store.degradations()] == [3]
 
 
 def test_check_thresholds_orders_reports_by_key():
@@ -396,8 +386,8 @@ def test_check_thresholds_orders_reports_by_key():
     k1 = (("x1", "x2"), "p2", cell("c1"))
     k2 = (("x1", "x2"), "p1", cell("c2"))
     for _ in range(2):
-        store.bump_counter(k1, now=1000, msg_ids=(1, 2))
-        store.bump_counter(k2, now=1000, msg_ids=(3, 4))
+        store.bump_counter(k1, msg_ids=(1, 2))
+        store.bump_counter(k2, msg_ids=(3, 4))
     reports = check_thresholds(store, 2)
     assert [r.evidence.key for r in reports] == [k2, k1]
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from passthrough import run_bypassing_ric
 from ricsim.cli import main
 from ricsim.experiment import (
     CSV_COLUMNS,
@@ -20,7 +21,6 @@ from ricsim.experiment import (
 )
 from ricsim.ran.config import ScenarioConfig
 from ricsim.sdl import Scope, ValidationError
-from ricsim.xapps import XappConfig
 
 SMALL = ExperimentConfig(
     scenario=ScenarioConfig(
@@ -47,7 +47,8 @@ def small_json(tmp_path, **extra):
 
 def test_disabled_run_is_bypass_identical():
     direct = run(SMALL, "disabled", seed=3)
-    bypassed = run(SMALL, "disabled", seed=3, bypass_pipeline=True)
+    bypassed, passthrough = run_bypassing_ric(SMALL, seed=3)
+    assert passthrough.calls == bypassed.allowed == direct.allowed > 0
     assert direct.fingerprint == bypassed.fingerprint
     assert direct.kpis == bypassed.kpis
 
@@ -69,6 +70,22 @@ def test_prioritized_xapp_never_blocked():
     for mode, winner in (("prioritize-mro", "mro"), ("prioritize-mlb", "mlb")):
         r = run(SMALL, mode, seed=2)
         assert r.blocked_by_xapp.get(winner, 0) == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_logging_does_not_change_the_run(tmp_path, mode):
+    # logs are only kept with out_dir; keeping them must not move the trajectory
+    assert run(SMALL, mode, 0) == run(SMALL, mode, 0, out_dir=str(tmp_path))
+
+
+def test_verdict_log_counts_match_result_conflicts(tmp_path):
+    r = run(SMALL, "disabled", seed=0, out_dir=str(tmp_path))
+    counted = {"direct": 0, "indirect": 0}
+    for line in (tmp_path / "disabled_seed0_verdicts.jsonl").open():
+        for conflict in json.loads(line)["conflicts"]:
+            counted[conflict["kind"]] += 1
+    assert counted["indirect"] > 0
+    assert counted == {"direct": r.conflicts["direct"], "indirect": r.conflicts["indirect"]}
 
 
 def test_run_writes_logs(tmp_path):
@@ -118,7 +135,7 @@ def test_policy_mode_mapping():
 
 def test_experiment_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig(xapps=XappConfig(decision_period_ms=4000))
+        experiment_from_dict({"xapps": {"mro": {"pp_high": 2.0}}})
     with pytest.raises(ValidationError):
         experiment_from_dict({"scenaro": {}})
     with pytest.raises(ValidationError):
@@ -141,6 +158,56 @@ def test_config_json_round_trip(tmp_path):
     assert cfg.pipeline.quarantine_ms == 20000
     assert cfg.parameter_groups[0].scope is Scope.CELL
     assert cfg.parameter_groups[0].members == frozenset({"hysteresis", "ttt", "cio"})
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"xapps": {"mro": {"bogus": 1}}},
+        {"xapps": {"mlb": {"bogus": 1}}},
+        {"xapps": {"bogus": 1}},
+        {"pipeline": {"bogus": 1}},
+        {"scenario": {"radio": {"bogus": 1}}},
+        {"scenario": {"bogus": 1}},
+    ],
+)
+def test_unknown_config_key_is_a_validation_error(section):
+    with pytest.raises(ValidationError, match="bogus"):
+        experiment_from_dict(section)
+
+
+def test_config_value_of_wrong_type_is_a_validation_error():
+    with pytest.raises(ValidationError, match="pipeline"):
+        experiment_from_dict({"pipeline": {"monitor_window": "20"}})
+    with pytest.raises(ValidationError, match="xapps"):
+        experiment_from_dict({"xapps": [1]})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--modes", "foo", "--seed-list", "0"], "unknown mode"),
+        (["sweep", "--modes", "disabled", "--seeds", "0"], "at least one seed"),
+        (["sweep", "--modes", "disabled", "--seed-list", "0,x"], "--seed-list"),
+    ],
+)
+def test_cli_bad_flag_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_bad_config_exits_2(tmp_path, capsys):
+    cases = [
+        (small_json(tmp_path, pipeline={"bogus": 1}), "bogus"),
+        (str(tmp_path / "missing.json"), "cannot read config"),
+    ]
+    for cfg, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mode", "disabled", "--config", cfg])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_run(tmp_path, capsys):

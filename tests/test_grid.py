@@ -8,7 +8,6 @@ from ricsim.ran.grid import (
     contains,
     hex_grid_positions,
     random_points,
-    reflect_into,
 )
 
 
@@ -44,15 +43,6 @@ def test_area_contains_all_sites():
     # and a little margin beyond the outermost site
     assert contains(verts, np.array([[1350.0, 0.0]]))[0]
     assert not contains(verts, np.array([[3000.0, 0.0]]))[0]
-
-
-def test_reflect_outside_point_lands_inside():
-    verts = area_vertices(600.0)
-    outside = np.array([1800.0, 200.0])
-    fixed = reflect_into(verts, outside)
-    assert contains(verts, fixed[None, :])[0]
-    inside = np.array([100.0, -50.0])
-    assert np.array_equal(reflect_into(verts, inside), inside)
 
 
 def test_random_points_inside_and_deterministic():

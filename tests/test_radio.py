@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from ricsim.ran.config import ScenarioConfig
 from ricsim.ran.radio import (
     RadioConfig,
     path_loss_db,
-    rsrp_matrix_dbm,
     shadowing_db,
     sinr_db,
     unit_throughput_mbps,
 )
+from ricsim.ran.world import build_scenario
 
 CFG = RadioConfig()
 NO_SHADOW = RadioConfig(shadow_sigma_db=0.0)
@@ -29,17 +30,24 @@ def test_path_loss_clamps_below_10m():
     assert near == pytest.approx([expected] * 3)
 
 
+def one_site_rsrp(ue_pos):
+    """RSRP the world computes for UEs placed at `ue_pos` around one site at the origin."""
+    cfg = ScenarioConfig(n_bs=1, rings=0, n_ue=len(ue_pos), radio=NO_SHADOW, seed=0)
+    world = build_scenario(cfg)
+    assert np.array_equal(world.bs_pos, [[0.0, 0.0]])
+    world.pos[:] = ue_pos
+    return world._rsrp()
+
+
 def test_rsrp_at_1km_without_shadowing():
-    bs = np.array([[0.0, 0.0]])
-    ue = np.array([[1000.0, 0.0]])
-    rsrp = rsrp_matrix_dbm(bs, ue, np.arange(1), seed=0, cfg=NO_SHADOW)
+    rsrp = one_site_rsrp(np.array([[1000.0, 0.0]]))
+    # 43 dBm transmit power minus 128.1 dB of path loss at 1 km
     assert rsrp[0, 0] == pytest.approx(-85.1)
 
 
 def test_rsrp_monotone_in_distance_without_shadowing():
-    bs = np.array([[0.0, 0.0]])
     ue = np.stack([np.linspace(10, 2000, 50), np.zeros(50)], axis=1)
-    rsrp = rsrp_matrix_dbm(bs, ue, np.arange(50), seed=0, cfg=NO_SHADOW)[:, 0]
+    rsrp = one_site_rsrp(ue)[:, 0]
     assert np.all(np.diff(rsrp) < 0)
 
 

@@ -167,7 +167,7 @@ def bump_to_threshold(pipe, name="ho_boundary", target=None, xapps=("mlb", "mro"
     target = target or cell()
     key = (tuple(sorted(xapps)), name, target)
     for i in range(pipe.implicit_config.threshold):
-        pipe.store.bump_counter(key, now=ts, msg_ids=(101, 102))
+        pipe.store.bump_counter(key, msg_ids=(101, 102))
     event = DegradationEvent(
         event_id=900, ts=ts, kpi_name="rlfs", cell_id=target.id, magnitude=5.0,
         window_mean=0.0, window_stdev=1.0,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ricsim.sdl import (
     ControlRecord,
     ControlTarget,
-    DegradationRecord,
     DuplicateRecordError,
     GroupChangeRecord,
     ImplicitCounter,
@@ -65,11 +64,6 @@ def test_nonfinite_change_rejected():
 def test_group_needs_two_members():
     with pytest.raises(ValidationError):
         ParameterGroupDef("g1", frozenset({"p1"}), Scope.CELL)
-
-
-def test_degradation_magnitude_positive():
-    with pytest.raises(ValidationError):
-        DegradationRecord(event_id=1, ts=0, kpi_name="rlfs", cell_id="c1", magnitude=0.0)
 
 
 def test_duplicate_msg_id_rejected():
@@ -173,14 +167,6 @@ def test_expire_drops_group_changes_with_controls():
     assert store.all_group_changes() == ()
 
 
-def test_expire_applies_degradation_horizon():
-    store = SdlStore(degradation_horizon_ms=60_000)
-    store.record_degradation(DegradationRecord(1, ts=0, kpi_name="rlfs", cell_id="c1", magnitude=3.5))
-    store.record_degradation(DegradationRecord(2, ts=50_000, kpi_name="rlfs", cell_id="c1", magnitude=3.5))
-    assert store.expire(100_000) == 1
-    assert [d.event_id for d in store.degradations()] == [2]
-
-
 # -- supersession -------------------------------------------------------------------
 
 
@@ -216,12 +202,11 @@ def test_supersede_skips_expired_records():
 def test_counter_bump_reset_and_threshold():
     store = SdlStore()
     key = (("x1", "x2"), "g1", cell())
-    assert store.bump_counter(key, now=1000, msg_ids=(4, 2)) == 1
-    assert store.bump_counter(key, now=2000, msg_ids=(2, 7)) == 2
-    assert store.bump_counter(key, now=3000) == 3
+    assert store.bump_counter(key, msg_ids=(4, 2)) == 1
+    assert store.bump_counter(key, msg_ids=(2, 7)) == 2
+    assert store.bump_counter(key) == 3
     ctr = store.get_counter(key)
     assert ctr.count == 3
-    assert ctr.last_update_ts == 3000
     assert ctr.msg_ids == (2, 4, 7)
     assert [c.key for c in store.counters_over(3)] == [key]
     assert store.counters_over(4) == []
@@ -234,17 +219,9 @@ def test_counters_over_sorted_by_key():
     store = SdlStore()
     k1 = (("x1", "x2"), "g2", cell("c1"))
     k2 = (("x1", "x2"), "g1", cell("c2"))
-    store.bump_counter(k1, now=0)
-    store.bump_counter(k2, now=0)
+    store.bump_counter(k1)
+    store.bump_counter(k2)
     assert [c.key for c in store.counters_over(1)] == [k2, k1]
-
-
-def test_purge_degradations_strictly_older():
-    store = SdlStore()
-    store.record_degradation(DegradationRecord(1, ts=100, kpi_name="rlfs", cell_id="c1", magnitude=4.0))
-    store.record_degradation(DegradationRecord(2, ts=200, kpi_name="rlfs", cell_id="c1", magnitude=4.0))
-    assert store.purge_degradations(200) == 1
-    assert [d.event_id for d in store.degradations()] == [2]
 
 
 def test_open_record_outlives_expiry_until_superseded():

@@ -9,7 +9,7 @@ from scipy import stats
 from ricsim.ran import grid
 from ricsim.ran.config import ScenarioConfig
 from ricsim.ran.radio import RadioConfig
-from ricsim.ran.world import PROFILE_NAMES, WorldState, build_scenario
+from ricsim.ran.world import WorldState, build_scenario
 from ricsim.sdl import ControlRecord, ControlTarget, Scope, ValidationError
 
 NO_SHADOW = RadioConfig(shadow_sigma_db=0.0)
@@ -82,7 +82,6 @@ def test_profile_bitrate_mapping():
     world = build_scenario(ScenarioConfig(profile_bitrates_mbps=(1.0, 5.0, 20.0)))
     rates = np.asarray([1.0, 5.0, 20.0])
     assert np.array_equal(world.target_mbps, rates[world.profile])
-    assert PROFILE_NAMES == ("low", "medium", "high")
 
 
 def test_initial_attachment_is_strongest_cell():
@@ -458,7 +457,7 @@ def test_apply_control_clamps_ranges():
     assert world.apply_control(ctl("bs2", {"hysteresis": -1.0})) == {"hysteresis": 0.0}
     assert world.apply_control(ctl("bs2", {"cio": -9.0})) == {"cio": -6.0}
     assert world.apply_control(ctl("bs2", {"cio": 6.5})) == {"cio": 6.0}
-    assert world.base_station(2).cio_db == 6.0
+    assert world.cio[2] == 6.0
 
 
 def test_apply_control_snaps_ttt_to_ladder():
@@ -467,7 +466,7 @@ def test_apply_control_snaps_ttt_to_ladder():
     assert world.apply_control(ctl("bs0", {"ttt": 496.0})) == {"ttt": 480.0}  # tie: lower wins
     assert world.apply_control(ctl("bs0", {"ttt": 9999.0})) == {"ttt": 5120.0}
     assert world.apply_control(ctl("bs0", {"ttt": 1.0})) == {"ttt": 40.0}
-    assert world.base_station(0).ttt_ms == 40
+    assert world.ttt[0] == 40
 
 
 def test_apply_control_rejects_bad_input():

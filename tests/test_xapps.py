@@ -183,5 +183,3 @@ def test_config_validation():
         MroConfig(step_hysteresis_db=-0.5)
     with pytest.raises(ValidationError):
         MlbConfig(load_low=0.9, load_high=0.8)
-    with pytest.raises(ValidationError):
-        XappConfig(decision_period_ms=0)
