@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -116,19 +116,6 @@ def detect_direct(incoming: ControlRecord, store: SdlStore) -> List[ConflictRepo
     return reports
 
 
-def map_parameter_groups(
-    incoming: ControlRecord, defs: Sequence[ParameterGroupDef]
-) -> List[str]:
-    """Group ids the incoming message touches, sorted for determinism."""
-    params = incoming.parameters()
-    hits = [
-        d.group_id
-        for d in defs
-        if d.scope == incoming.target.scope and d.members & params
-    ]
-    return sorted(hits)
-
-
 def detect_indirect(
     incoming: ControlRecord, groups: Sequence[str], store: SdlStore
 ) -> List[ConflictReport]:
@@ -138,19 +125,17 @@ def detect_indirect(
     are excluded so each message pair is reported exactly once.
     """
     reports = []
+    params = incoming.parameters()
     for group_id in groups:
-        for gc in store.active_group_changes(incoming.target, group_id, incoming.ts):
-            if gc.xapp_id == incoming.xapp_id:
-                continue
-            base = store.get_control(gc.msg_id)
-            if base is not None and base.parameters() & incoming.parameters():
+        for old in store.active_group_changes(incoming.target, group_id, incoming.ts):
+            if old.xapp_id == incoming.xapp_id or old.parameters() & params:
                 continue
             reports.append(
                 ConflictReport(
                     kind=ConflictKind.INDIRECT,
                     incoming_msg_id=incoming.msg_id,
-                    conflicting_msg_ids=(gc.msg_id,),
-                    xapp_ids=frozenset({gc.xapp_id, incoming.xapp_id}),
+                    conflicting_msg_ids=(old.msg_id,),
+                    xapp_ids=frozenset({old.xapp_id, incoming.xapp_id}),
                     target=incoming.target,
                     shared_groups=frozenset({group_id}),
                 )
@@ -169,6 +154,9 @@ ADVERSE_HIGHER = {
     "handovers": True,
     "pingpong_handovers": True,
 }
+
+# floor of a window's stdev, so a constant window still scores deviations
+STDEV_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -203,26 +191,19 @@ class PerformanceMonitor:
 
     A stream is one (kpi_name, cell_id) pair. Once a stream's reference
     window is full, a new value deviating in the adverse direction by more
-    than `sigma` standard deviations is flagged; the stdev is floored to
-    keep constant windows usable. Every observation enters the window, so
+    than `sigma` standard deviations is flagged; the stdev is floored at
+    `STDEV_FLOOR` to keep constant windows usable. `ADVERSE_HIGHER` gives
+    each KPI's adverse direction. Every observation enters the window, so
     the reference tracks the recent past whether or not it was flagged.
     """
 
-    def __init__(
-        self,
-        window: int = 20,
-        sigma: float = 3.0,
-        stdev_floor: float = 1e-6,
-        adverse_higher: Optional[Mapping[str, bool]] = None,
-    ) -> None:
+    def __init__(self, window: int = 20, sigma: float = 3.0) -> None:
         if window < 2:
             raise ValidationError("window must hold at least two samples")
-        if sigma <= 0 or stdev_floor <= 0:
-            raise ValidationError("sigma and stdev_floor must be positive")
+        if sigma <= 0:
+            raise ValidationError("sigma must be positive")
         self.window = window
         self.sigma = sigma
-        self.stdev_floor = stdev_floor
-        self.adverse_higher = dict(ADVERSE_HIGHER if adverse_higher is None else adverse_higher)
         self._windows: Dict[Tuple[str, str], deque] = {}
         self._last_ts: Dict[Tuple[str, str], int] = {}
         self._event_ids = count(1)
@@ -241,8 +222,8 @@ class PerformanceMonitor:
         event = None
         if len(win) == self.window:
             mean = statistics.fmean(win)
-            stdev = max(self.stdev_floor, statistics.stdev(win))
-            higher_worse = self.adverse_higher.get(point.kpi_name, True)
+            stdev = max(STDEV_FLOOR, statistics.stdev(win))
+            higher_worse = ADVERSE_HIGHER.get(point.kpi_name, True)
             deviation = (point.value - mean) if higher_worse else (mean - point.value)
             if deviation > self.sigma * stdev:
                 event = DegradationEvent(
@@ -261,22 +242,12 @@ class PerformanceMonitor:
 # -- implicit correlation -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImplicitConfig:
-    """Correlation settings plus the live attachment map for target resolution.
-
-    `cell_of_ue` may be a shared, mutable mapping owned by the caller; it is
-    read at correlation time with current content.
-    """
+    """Correlation lookback and the counter threshold that makes a report."""
 
     lookback_ms: int = 10_000
     threshold: int = 3
-    cell_of_ue: Mapping[str, str] = field(default_factory=dict)
-
-    def resolve_cell(self, target: ControlTarget) -> Optional[str]:
-        if target.scope is Scope.CELL:
-            return target.id
-        return self.cell_of_ue.get(target.id)
 
 
 def correlate_implicit(
@@ -284,38 +255,30 @@ def correlate_implicit(
 ) -> List[CounterKey]:
     """Bump counters for names touched by several xApps near a degradation.
 
-    Considers control and group-change records on the degraded cell (or on
-    UEs it serves) that were active at the event or whose span ran out less
-    than the lookback before it. Never looks at messages sent after the
-    event. Returns the bumped keys, sorted.
+    Considers the records on the degraded cell that were active at the
+    event or whose span ran out less than the lookback before it; each
+    counts for every parameter it sets and every group it touches. Never
+    looks at messages sent after the event. Returns the bumped keys, sorted.
     """
     te = event.ts
     lookback = config.lookback_ms
-
-    def in_window(ts: int, span: Optional[int]) -> bool:
-        return ts <= te and (span is None or te < ts + span + lookback)
-
-    touched: Dict[Tuple[str, ControlTarget], Tuple[Set[str], Set[int]]] = {}
-
-    def note(name: str, target: ControlTarget, xapp_id: str, msg_id: int) -> None:
-        entry = touched.get((name, target))
-        if entry is None:
-            entry = touched[(name, target)] = (set(), set())
-        entry[0].add(xapp_id)
-        entry[1].add(msg_id)
-
+    cell = ControlTarget(Scope.CELL, event.cell_id)
+    # name -> (xApp ids, msg ids)
+    touched: Dict[str, Tuple[Set[str], Set[int]]] = {}
     for rec in store.all_controls():
-        if in_window(rec.ts, rec.span) and config.resolve_cell(rec.target) == event.cell_id:
-            for param in rec.changes:
-                note(param, rec.target, rec.xapp_id, rec.msg_id)
-    for gc in store.all_group_changes():
-        if in_window(gc.ts, gc.span) and config.resolve_cell(gc.target) == event.cell_id:
-            note(gc.group_id, gc.target, gc.xapp_id, gc.msg_id)
+        if rec.target != cell or rec.ts > te:
+            continue
+        if rec.span is not None and te >= rec.ts + rec.span + lookback:
+            continue
+        for name in [*rec.changes, *store.groups_of(rec)]:
+            xapps, msg_ids = touched.setdefault(name, (set(), set()))
+            xapps.add(rec.xapp_id)
+            msg_ids.add(rec.msg_id)
 
     keys = []
-    for (name, target), (xapps, msg_ids) in touched.items():
+    for name, (xapps, msg_ids) in touched.items():
         if len(xapps) >= 2:
-            key: CounterKey = (tuple(sorted(xapps)), name, target)
+            key: CounterKey = (tuple(sorted(xapps)), name, cell)
             store.bump_counter(key, msg_ids=msg_ids)
             keys.append(key)
     keys.sort(key=counter_sort_key)

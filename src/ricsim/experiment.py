@@ -190,7 +190,6 @@ def run(
     for g in config.parameter_groups:
         store.add_parameter_group(g)
     monitor = PerformanceMonitor(window=pcfg.monitor_window, sigma=pcfg.monitor_sigma)
-    cell_of_ue: Dict[str, str] = {}
     # file suffix -> lines, kept only when they are written
     logs: Optional[Dict[str, List[dict]]] = (
         None if out_dir is None else {"events": [], "messages": [], "verdicts": []}
@@ -201,7 +200,6 @@ def run(
         implicit_config=ImplicitConfig(
             lookback_ms=pcfg.implicit_lookback_ms,
             threshold=pcfg.implicit_threshold,
-            cell_of_ue=cell_of_ue,
         ),
         quarantine_ms=pcfg.quarantine_ms,
         verdict_sink=None if logs is None else logs["verdicts"].append,
@@ -222,8 +220,6 @@ def run(
         if logs is not None:
             logs["events"].extend(events)
 
-        cell_of_ue.clear()
-        cell_of_ue.update(world.ue_cells())
         for s in per_cell:
             for kpi in KPI_NAMES:
                 ev = monitor.observe(KpiPoint(s.window_end_ts, kpi, s.cell_id, s.value(kpi)))

@@ -90,7 +90,6 @@ class WorldState:
 
         n = cfg.n_ue
         self.ue_ids = [f"{cfg.ue_id_prefix}{i}" for i in range(n)]
-        self._ue_idx = np.arange(n)
         self.pos = grid.random_points(self.area, n, rng_place)
         self.profile = rng_place.choice(len(cfg.profile_probs), size=n, p=cfg.profile_probs)
         self.target_mbps = np.asarray(cfg.profile_bitrates_mbps, dtype=float)[self.profile]

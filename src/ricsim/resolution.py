@@ -9,9 +9,9 @@ quarantining the offending (xApp, name, target) combinations for a while.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .detection import (
     ConflictKind,
@@ -22,21 +22,8 @@ from .detection import (
     correlate_implicit,
     detect_direct,
     detect_indirect,
-    map_parameter_groups,
 )
-from .sdl import (
-    ControlRecord,
-    ControlTarget,
-    GroupChangeRecord,
-    Scope,
-    SdlStore,
-    ValidationError,
-)
-
-
-class ResolutionMode(Enum):
-    DISABLED = "disabled"
-    PRIORITIZE = "prioritize"
+from .sdl import ControlRecord, ControlTarget, SdlStore, ValidationError
 
 
 class Decision(Enum):
@@ -46,25 +33,24 @@ class Decision(Enum):
 
 @dataclass(frozen=True)
 class ResolutionPolicy:
-    """Either let everything through or give one xApp the right of way."""
+    """Give one xApp the right of way, or with None let everything through."""
 
-    mode: ResolutionMode
     prioritized_xapp: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.mode is ResolutionMode.PRIORITIZE:
-            if not self.prioritized_xapp:
-                raise ValidationError("prioritize mode needs an xApp id")
-        elif self.prioritized_xapp is not None:
-            raise ValidationError("disabled mode takes no xApp id")
+        prio = self.prioritized_xapp
+        if prio is not None and (not isinstance(prio, str) or not prio):
+            raise ValidationError("the prioritized xApp id must be a non-empty string")
 
     @classmethod
     def disabled(cls) -> "ResolutionPolicy":
-        return cls(ResolutionMode.DISABLED)
+        return cls()
 
     @classmethod
     def prioritize(cls, xapp_id: str) -> "ResolutionPolicy":
-        return cls(ResolutionMode.PRIORITIZE, xapp_id)
+        if xapp_id is None:
+            raise ValidationError("prioritize needs an xApp id")
+        return cls(xapp_id)
 
 
 @dataclass(frozen=True)
@@ -83,14 +69,14 @@ def resolve(
     reports: Sequence[ConflictReport],
     policy: ResolutionPolicy,
 ) -> Verdict:
-    """Allow/Block decision for one message given its conflict reports."""
-    if policy.mode is ResolutionMode.DISABLED:
-        return Verdict(Decision.ALLOW, tuple(reports))
-    if not reports:
-        return Verdict(Decision.ALLOW, ())
-    if incoming.xapp_id == policy.prioritized_xapp:
-        return Verdict(Decision.ALLOW, tuple(reports))
-    return Verdict(Decision.BLOCK, tuple(reports))
+    """Allow/Block decision for one message given its conflict reports.
+
+    Blocks exactly when there are reports, an xApp is prioritized, and the
+    sender is another xApp.
+    """
+    prio = policy.prioritized_xapp
+    blocked = bool(reports) and prio is not None and incoming.xapp_id != prio
+    return Verdict(Decision.BLOCK if blocked else Decision.ALLOW, tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -160,7 +146,7 @@ class ConflictPipeline:
         """
         now = incoming.ts
         reports: List[ConflictReport] = detect_direct(incoming, self.store)
-        groups = map_parameter_groups(incoming, self.store.parameter_groups())
+        groups = self.store.groups_of(incoming)
         reports += detect_indirect(incoming, groups, self.store)
         for rep in reports:
             self.conflicts_by_kind[rep.kind] += 1
@@ -174,8 +160,6 @@ class ConflictPipeline:
         if verdict.decision is Decision.ALLOW:
             self.store.supersede(incoming)
             self.store.record_control(incoming)
-            for gid in groups:
-                self.store.record_group_change(GroupChangeRecord.from_control(incoming, gid))
             self.allowed_by_xapp[incoming.xapp_id] += 1
         else:
             self.blocked_by_xapp[incoming.xapp_id] += 1
@@ -211,7 +195,7 @@ class ConflictPipeline:
             self.conflicts_by_kind[ConflictKind.IMPLICIT] += 1
             decision = Decision.ALLOW
             quarantined: Tuple[str, ...] = ()
-            if self.policy.mode is ResolutionMode.PRIORITIZE:
+            if self.policy.prioritized_xapp is not None:
                 offenders = sorted(rep.xapp_ids - {self.policy.prioritized_xapp})
                 if offenders:
                     decision = Decision.BLOCK
@@ -237,24 +221,6 @@ def control_record_to_dict(rec: ControlRecord) -> dict:
         "changes": dict(rec.changes),
         "span_ms": rec.span,
     }
-
-
-def control_record_from_dict(data: Mapping) -> ControlRecord:
-    try:
-        target = data["target"]
-        scope = Scope(str(target["scope"]).lower())
-        return ControlRecord(
-            msg_id=data["msg_id"],
-            ts=data["ts_ms"],
-            xapp_id=data["xapp_id"],
-            target=ControlTarget(scope, target["id"]),
-            changes=data["changes"],
-            span=data["span_ms"],
-        )
-    except KeyError as exc:
-        raise ValidationError(f"control message missing field {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"bad control message: {exc}") from exc
 
 
 def _shared_names(report: ConflictReport) -> List[str]:

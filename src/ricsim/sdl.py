@@ -1,8 +1,11 @@
 """Shared data layer for the conflict mitigation pipeline.
 
 Holds the state the RIC components exchange: control records written by
-xApps, their parameter-group projections, and the counters used by
-implicit conflict detection.
+xApps, the parameter group definitions, and the counters used by implicit
+conflict detection. A stored record is also a change of every parameter
+group it touches: the store indexes it under each (target, group) whose
+definition has the target's scope and shares a parameter with it, so a
+group change is stored, superseded and expired with its record.
 Everything is kept in insertion order so that iteration is reproducible.
 """
 
@@ -65,22 +68,8 @@ def _check_changes(changes: Mapping[str, float]) -> Dict[str, float]:
     return out
 
 
-class _Lifetime:
-    """Activity of a record that starts at `ts` and may carry a `span`."""
-
-    ts: int
-    span: Optional[int]
-
-    def active_at(self, t: int) -> bool:
-        return self.ts <= t and (self.span is None or t < self.ts + self.span)
-
-    def closed_by(self, now: int) -> bool:
-        """True once the span has run out at `now`; never without a span."""
-        return self.span is not None and self.ts + self.span <= now
-
-
 @dataclass(frozen=True)
-class ControlRecord(_Lifetime):
+class ControlRecord:
     """One applied (or candidate) parameter change from an xApp.
 
     A record is active while the values it set are in force. It becomes
@@ -117,6 +106,13 @@ class ControlRecord(_Lifetime):
     def parameters(self) -> frozenset:
         return frozenset(self.changes)
 
+    def active_at(self, t: int) -> bool:
+        return self.ts <= t and (self.span is None or t < self.ts + self.span)
+
+    def closed_by(self, now: int) -> bool:
+        """True once the span has run out at `now`; never without a span."""
+        return self.span is not None and self.ts + self.span <= now
+
 
 @dataclass(frozen=True)
 class ParameterGroupDef:
@@ -140,27 +136,12 @@ class ParameterGroupDef:
         object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True)
-class GroupChangeRecord(_Lifetime):
-    """Projection of a control record onto one parameter group."""
-
-    msg_id: int
-    group_id: str
-    ts: int
-    xapp_id: str
-    target: ControlTarget
-    span: Optional[int]
-
-    @classmethod
-    def from_control(cls, rec: ControlRecord, group_id: str) -> "GroupChangeRecord":
-        return cls(
-            msg_id=rec.msg_id,
-            group_id=group_id,
-            ts=rec.ts,
-            xapp_id=rec.xapp_id,
-            target=rec.target,
-            span=rec.span,
-        )
+def map_parameter_groups(rec: ControlRecord, defs: Iterable[ParameterGroupDef]) -> List[str]:
+    """Ids of the groups in `defs` that `rec` touches: same scope as its
+    target and at least one shared parameter. Sorted for determinism."""
+    params = rec.parameters()
+    hits = [d.group_id for d in defs if d.scope == rec.target.scope and d.members & params]
+    return sorted(hits)
 
 
 # (sorted xapp ids, parameter or group name, target)
@@ -181,6 +162,14 @@ class ImplicitCounter:
     msg_ids: Tuple[int, ...] = ()
 
 
+def _drop(view: Dict, key, msg_id: int) -> None:
+    """Remove `msg_id` from one view bucket, and the bucket once it is empty."""
+    at = view[key]
+    del at[msg_id]
+    if not at:
+        del view[key]
+
+
 class SdlStore:
     """In-memory shared store with insertion-order iteration.
 
@@ -189,14 +178,27 @@ class SdlStore:
     """
 
     def __init__(self) -> None:
-        # dicts keep insertion order; the per-target views let the
-        # detectors read one target without scanning the whole store
+        # dicts keep insertion order; the per-target and per-(target, group)
+        # views let the detectors read one target without scanning the store
         self._controls: Dict[int, ControlRecord] = {}
         self._controls_at: Dict[ControlTarget, Dict[int, ControlRecord]] = {}
-        self._group_changes: Dict[Tuple[int, str], GroupChangeRecord] = {}
-        self._groups_at: Dict[Tuple[ControlTarget, str], Dict[int, GroupChangeRecord]] = {}
+        self._groups_at: Dict[Tuple[ControlTarget, str], Dict[int, ControlRecord]] = {}
         self._group_defs: Dict[str, ParameterGroupDef] = {}
         self._counters: Dict[CounterKey, ImplicitCounter] = {}
+
+    # -- parameter groups -----------------------------------------------------
+
+    def add_parameter_group(self, group: ParameterGroupDef) -> None:
+        if group.group_id in self._group_defs:
+            raise DuplicateRecordError(f"group {group.group_id!r} already defined")
+        if self._controls:
+            # stored records are indexed by the groups defined when they came in
+            raise ValidationError("parameter groups must be defined before any control record")
+        self._group_defs[group.group_id] = group
+
+    def groups_of(self, rec: ControlRecord) -> List[str]:
+        """Ids of the defined groups `rec` touches, sorted."""
+        return map_parameter_groups(rec, self._group_defs.values())
 
     # -- control records ----------------------------------------------------
 
@@ -207,25 +209,34 @@ class SdlStore:
             raise DuplicateRecordError(f"msg_id {rec.msg_id} already recorded")
         self._controls[rec.msg_id] = rec
         self._controls_at.setdefault(rec.target, {})[rec.msg_id] = rec
-
-    def get_control(self, msg_id: int) -> Optional[ControlRecord]:
-        return self._controls.get(msg_id)
+        for gid in self.groups_of(rec):
+            self._groups_at.setdefault((rec.target, gid), {})[rec.msg_id] = rec
 
     def active_controls(self, target: ControlTarget, now: int) -> List[ControlRecord]:
         """Records active at `now` for `target`, in insertion order."""
         at = self._controls_at.get(target)
         return [r for r in at.values() if r.active_at(now)] if at else []
 
+    def active_group_changes(
+        self, target: ControlTarget, group_id: str, now: int
+    ) -> List[ControlRecord]:
+        """Records active at `now` that change group `group_id` of `target`."""
+        at = self._groups_at.get((target, group_id))
+        return [r for r in at.values() if r.active_at(now)] if at else []
+
     def all_controls(self) -> Tuple[ControlRecord, ...]:
         return tuple(self._controls.values())
+
+    def all_group_changes(self) -> Tuple[Tuple[str, ControlRecord], ...]:
+        """One (group_id, record) pair per group change, by (target, group)."""
+        return tuple((gid, r) for (_, gid), at in self._groups_at.items() for r in at.values())
 
     def supersede(self, rec: ControlRecord) -> List[int]:
         """Drop older active records this one replaces.
 
         A record is replaced when it is still active, comes from the same
         xApp, addresses the same target, and shares at least one parameter
-        with `rec`. Group-change entries of replaced records go with them.
-        Returns the msg_ids removed.
+        with `rec`. Returns the msg_ids removed.
         """
         params = rec.parameters()
         removed = [
@@ -241,49 +252,13 @@ class SdlStore:
         return [old.msg_id for old in removed]
 
     def _remove_control(self, rec: ControlRecord) -> int:
-        """Drop a control record and its group changes; returns the count."""
+        """Drop a record from every view; returns 1 + its group changes."""
         del self._controls[rec.msg_id]
-        at = self._controls_at[rec.target]
-        del at[rec.msg_id]
-        if not at:
-            del self._controls_at[rec.target]
-        gcs = [gc for key, gc in self._group_changes.items() if key[0] == rec.msg_id]
-        for gc in gcs:
-            self._remove_group_change(gc)
-        return 1 + len(gcs)
-
-    # -- group definitions and change records --------------------------------
-
-    def add_parameter_group(self, group: ParameterGroupDef) -> None:
-        if group.group_id in self._group_defs:
-            raise DuplicateRecordError(f"group {group.group_id!r} already defined")
-        self._group_defs[group.group_id] = group
-
-    def parameter_groups(self) -> Tuple[ParameterGroupDef, ...]:
-        return tuple(self._group_defs.values())
-
-    def record_group_change(self, gc: GroupChangeRecord) -> None:
-        key = (gc.msg_id, gc.group_id)
-        if key in self._group_changes:
-            raise DuplicateRecordError(f"group change {key} already recorded")
-        self._group_changes[key] = gc
-        self._groups_at.setdefault((gc.target, gc.group_id), {})[gc.msg_id] = gc
-
-    def _remove_group_change(self, gc: GroupChangeRecord) -> None:
-        del self._group_changes[(gc.msg_id, gc.group_id)]
-        at = self._groups_at[(gc.target, gc.group_id)]
-        del at[gc.msg_id]
-        if not at:
-            del self._groups_at[(gc.target, gc.group_id)]
-
-    def active_group_changes(
-        self, target: ControlTarget, group_id: str, now: int
-    ) -> List[GroupChangeRecord]:
-        at = self._groups_at.get((target, group_id))
-        return [g for g in at.values() if g.active_at(now)] if at else []
-
-    def all_group_changes(self) -> Tuple[GroupChangeRecord, ...]:
-        return tuple(self._group_changes.values())
+        _drop(self._controls_at, rec.target, rec.msg_id)
+        groups = self.groups_of(rec)
+        for gid in groups:
+            _drop(self._groups_at, (rec.target, gid), rec.msg_id)
+        return 1 + len(groups)
 
     # -- implicit conflict counters -------------------------------------------
 
@@ -317,17 +292,15 @@ class SdlStore:
     def expire(self, now: int) -> int:
         """Purge entries that can no longer matter at time `now`.
 
-        Control and group-change records whose span has run out
-        (ts + span <= now) are dropped. Records without a span never run out;
-        they leave the store when superseded. Returns the number of entries
-        purged. Queries at times >= now are unaffected by expiry.
+        Records whose span has run out (ts + span <= now) are dropped with
+        their group changes. Records without a span never run out; they
+        leave the store when superseded. Returns the number of entries
+        purged, each record counting 1 plus its group changes. Queries at
+        times >= now are unaffected by expiry.
         """
         purged = 0
         for rec in [r for r in self._controls.values() if r.closed_by(now)]:
             purged += self._remove_control(rec)
-        for gc in [g for g in self._group_changes.values() if g.closed_by(now)]:
-            self._remove_group_change(gc)
-            purged += 1
         return purged
 
     def dump(self) -> Tuple:

@@ -16,24 +16,10 @@ import pytest
 
 from detection_oracle import random_log, replay_reports
 from passthrough import run_bypassing_ric
-from ricsim.detection import (
-    DegradationEvent,
-    KpiPoint,
-    PerformanceMonitor,
-    detect_direct,
-    detect_indirect,
-    map_parameter_groups,
-)
+from ricsim.detection import ConflictKind, DegradationEvent, KpiPoint, PerformanceMonitor
 from ricsim.experiment import MODES, ExperimentConfig, run, sweep
 from ricsim.resolution import ConflictPipeline, Decision, ResolutionPolicy
-from ricsim.sdl import (
-    ControlRecord,
-    ControlTarget,
-    GroupChangeRecord,
-    ParameterGroupDef,
-    Scope,
-    SdlStore,
-)
+from ricsim.sdl import ControlRecord, ControlTarget, ParameterGroupDef, Scope, SdlStore
 from ricsim.xapps import MLB_XAPP_ID, MRO_XAPP_ID
 
 N_SEEDS = 10
@@ -61,23 +47,29 @@ def full_sweep():
 
 
 def _pipeline_reports(messages, defs):
-    # same adapter as the unit suite: run the real detectors over a store
+    # same adapter as the unit suite: the real pipeline, letting every message
+    # through, over a store that holds the log's groups
     store = SdlStore()
+    for g in defs:
+        store.add_parameter_group(g)
+    pipeline = ConflictPipeline(store, ResolutionPolicy.disabled())
     out = []
     for m in messages:
-        direct = detect_direct(m, store)
-        groups = map_parameter_groups(m, defs)
-        indirect = detect_indirect(m, groups, store)
+        reports = pipeline.process_control_message(m).reports
         out.append(
             (
-                {(r.conflicting_msg_ids[0], r.shared_parameters) for r in direct},
-                {(next(iter(r.shared_groups)), r.conflicting_msg_ids[0]) for r in indirect},
+                {
+                    (r.conflicting_msg_ids[0], r.shared_parameters)
+                    for r in reports
+                    if r.kind is ConflictKind.DIRECT
+                },
+                {
+                    (next(iter(r.shared_groups)), r.conflicting_msg_ids[0])
+                    for r in reports
+                    if r.kind is ConflictKind.INDIRECT
+                },
             )
         )
-        store.supersede(m)
-        store.record_control(m)
-        for gid in groups:
-            store.record_group_change(GroupChangeRecord.from_control(m, gid))
     return out
 
 

@@ -19,16 +19,16 @@ from ricsim.detection import (
     correlate_implicit,
     detect_direct,
     detect_indirect,
-    map_parameter_groups,
 )
+from ricsim.resolution import ConflictPipeline, ResolutionPolicy
 from ricsim.sdl import (
     ControlRecord,
     ControlTarget,
-    GroupChangeRecord,
     ParameterGroupDef,
     Scope,
     SdlStore,
     ValidationError,
+    map_parameter_groups,
 )
 
 
@@ -50,11 +50,10 @@ def rec(msg_id, ts=0, xapp="x1", target=None, changes=None, span=5000):
 HO_GROUP = ParameterGroupDef("ho_boundary", frozenset({"hysteresis", "ttt", "cio"}), Scope.CELL)
 
 
-def record_with_groups(store, r, defs):
+def record_with_groups(store, r):
+    """Store `r` as the pipeline does on Allow; the store adds its group changes."""
     store.supersede(r)
     store.record_control(r)
-    for gid in map_parameter_groups(r, defs):
-        store.record_group_change(GroupChangeRecord.from_control(r, gid))
 
 
 # -- direct detection ---------------------------------------------------------
@@ -98,11 +97,11 @@ def test_direct_reports_ordered_by_msg_id():
 def test_detectors_leave_store_untouched():
     store = SdlStore()
     store.add_parameter_group(HO_GROUP)
-    record_with_groups(store, rec(1, ts=0, xapp="mro"), store.parameter_groups())
+    record_with_groups(store, rec(1, ts=0, xapp="mro"))
     before = store.dump()
     incoming = rec(2, ts=100, xapp="mlb", changes={"cio": -1.0, "hysteresis": 2.0})
     detect_direct(incoming, store)
-    groups = map_parameter_groups(incoming, store.parameter_groups())
+    groups = store.groups_of(incoming)
     detect_indirect(incoming, groups, store)
     assert store.dump() == before
     # incoming is not yet recorded, so it can never appear as a counterpart
@@ -139,9 +138,9 @@ def test_map_parameter_groups_sorted():
 def test_indirect_conflict_via_shared_group():
     store = SdlStore()
     store.add_parameter_group(HO_GROUP)
-    record_with_groups(store, rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.5}), store.parameter_groups())
+    record_with_groups(store, rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.5}))
     incoming = rec(2, ts=1000, xapp="mlb", changes={"cio": -1.0})
-    groups = map_parameter_groups(incoming, store.parameter_groups())
+    groups = store.groups_of(incoming)
     reports = detect_indirect(incoming, groups, store)
     assert len(reports) == 1
     rep = reports[0]
@@ -154,9 +153,9 @@ def test_indirect_conflict_via_shared_group():
 def test_indirect_excludes_pairs_already_direct():
     store = SdlStore()
     store.add_parameter_group(HO_GROUP)
-    record_with_groups(store, rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.5, "ttt": 640}), store.parameter_groups())
+    record_with_groups(store, rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.5, "ttt": 640}))
     incoming = rec(2, ts=1000, xapp="mlb", changes={"ttt": 480, "cio": -1.0})
-    groups = map_parameter_groups(incoming, store.parameter_groups())
+    groups = store.groups_of(incoming)
     assert detect_direct(incoming, store) != []
     assert detect_indirect(incoming, groups, store) == []
 
@@ -164,7 +163,7 @@ def test_indirect_excludes_pairs_already_direct():
 def test_indirect_same_xapp_excluded():
     store = SdlStore()
     store.add_parameter_group(HO_GROUP)
-    record_with_groups(store, rec(1, ts=0, xapp="mlb", changes={"hysteresis": 1.0}), store.parameter_groups())
+    record_with_groups(store, rec(1, ts=0, xapp="mlb", changes={"hysteresis": 1.0}))
     incoming = rec(2, ts=100, xapp="mlb", changes={"cio": -1.0})
     assert detect_indirect(incoming, ["ho_boundary"], store) == []
 
@@ -173,22 +172,29 @@ def test_indirect_same_xapp_excluded():
 
 
 def _pipeline_reports(messages, defs):
+    # the real pipeline, letting every message through, over a store that
+    # holds the log's groups; its reports split by kind into the oracle's sets
     store = SdlStore()
+    for g in defs:
+        store.add_parameter_group(g)
+    pipeline = ConflictPipeline(store, ResolutionPolicy.disabled())
     out = []
     for m in messages:
-        direct = detect_direct(m, store)
-        groups = map_parameter_groups(m, defs)
-        indirect = detect_indirect(m, groups, store)
+        reports = pipeline.process_control_message(m).reports
         out.append(
             (
-                {(r.conflicting_msg_ids[0], r.shared_parameters) for r in direct},
-                {(next(iter(r.shared_groups)), r.conflicting_msg_ids[0]) for r in indirect},
+                {
+                    (r.conflicting_msg_ids[0], r.shared_parameters)
+                    for r in reports
+                    if r.kind is ConflictKind.DIRECT
+                },
+                {
+                    (next(iter(r.shared_groups)), r.conflicting_msg_ids[0])
+                    for r in reports
+                    if r.kind is ConflictKind.INDIRECT
+                },
             )
         )
-        store.supersede(m)
-        store.record_control(m)
-        for gid in groups:
-            store.record_group_change(GroupChangeRecord.from_control(m, gid))
     return out
 
 
@@ -303,9 +309,8 @@ def test_correlate_group_key_for_distinct_parameters():
     # distinct raw parameters, same group: evidence keyed by the group
     store = SdlStore()
     store.add_parameter_group(HO_GROUP)
-    defs = store.parameter_groups()
-    record_with_groups(store, rec(1, ts=8000, xapp="mro", changes={"hysteresis": 2.0}), defs)
-    record_with_groups(store, rec(2, ts=9000, xapp="mlb", changes={"cio": -1.0}), defs)
+    record_with_groups(store, rec(1, ts=8000, xapp="mro", changes={"hysteresis": 2.0}))
+    record_with_groups(store, rec(2, ts=9000, xapp="mlb", changes={"cio": -1.0}))
     keys = correlate_implicit(degradation(ts=9500), store, ImplicitConfig())
     assert keys == [(("mlb", "mro"), "ho_boundary", cell())]
     # oracle recomputation from the full log: both messages active, both map
@@ -343,15 +348,15 @@ def test_correlate_requires_two_xapps():
     assert correlate_implicit(degradation(ts=9500), store, ImplicitConfig()) == []
 
 
-def test_correlate_resolves_ue_targets_to_serving_cell():
+def test_correlate_looks_only_at_the_degraded_cell():
     store = SdlStore()
-    ue = ControlTarget(Scope.UE, "u7")
-    store.record_control(rec(1, ts=8000, xapp="x1", target=ue, changes={"p": 1.0}))
-    store.record_control(rec(2, ts=9000, xapp="x2", target=ue, changes={"p": 2.0}))
-    cfg = ImplicitConfig(cell_of_ue={"u7": "c1"})
-    assert correlate_implicit(degradation(ts=9500), store, cfg) == [(("x1", "x2"), "p", ue)]
-    # same records, event on a different cell: no correlation
-    assert correlate_implicit(degradation(event_id=2, ts=9600, cell_id="c9"), store, cfg) == []
+    for i, target in enumerate((cell("c2"), ControlTarget(Scope.UE, "c1"))):
+        store.record_control(rec(2 * i + 1, ts=8000, xapp="x1", target=target, changes={"p": 1.0}))
+        store.record_control(rec(2 * i + 2, ts=9000, xapp="x2", target=target, changes={"p": 2.0}))
+    assert correlate_implicit(degradation(ts=9500, cell_id="c1"), store, ImplicitConfig()) == []
+    assert correlate_implicit(degradation(ts=9500, cell_id="c2"), store, ImplicitConfig()) == [
+        (("x1", "x2"), "p", cell("c2"))
+    ]
 
 
 # -- thresholds -----------------------------------------------------------------------

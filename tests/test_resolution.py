@@ -9,10 +9,8 @@ from ricsim.detection import ConflictKind, ImplicitConfig
 from ricsim.resolution import (
     ConflictPipeline,
     Decision,
-    ResolutionMode,
     ResolutionPolicy,
     Verdict,
-    control_record_from_dict,
     control_record_to_dict,
     resolve,
     verdict_log_line,
@@ -45,10 +43,9 @@ def rec(msg_id, ts=0, xapp="mro", target=None, changes=None, span=5000):
 HO_GROUP = ParameterGroupDef("ho_boundary", frozenset({"hysteresis", "ttt", "cio"}), Scope.CELL)
 
 
-def make_pipeline(policy, store=None, **kwargs):
-    store = store or SdlStore()
-    if not store.parameter_groups():
-        store.add_parameter_group(HO_GROUP)
+def make_pipeline(policy, **kwargs):
+    store = SdlStore()
+    store.add_parameter_group(HO_GROUP)
     return ConflictPipeline(store, policy, **kwargs)
 
 
@@ -57,11 +54,10 @@ def make_pipeline(policy, store=None, **kwargs):
 
 def test_policy_validation():
     with pytest.raises(ValidationError):
-        ResolutionPolicy(ResolutionMode.PRIORITIZE, None)
-    with pytest.raises(ValidationError):
-        ResolutionPolicy(ResolutionMode.DISABLED, "mro")
+        ResolutionPolicy(3)
     assert ResolutionPolicy.prioritize("mro").prioritized_xapp == "mro"
-    assert ResolutionPolicy.disabled().mode is ResolutionMode.DISABLED
+    assert ResolutionPolicy.disabled().prioritized_xapp is None
+    assert ResolutionPolicy() == ResolutionPolicy.disabled()
 
 
 def _dummy_report(incoming):
@@ -79,19 +75,27 @@ def _dummy_report(incoming):
 
 def test_resolve_disabled_always_allows():
     incoming = rec(2, xapp="mlb")
-    verdict = resolve(incoming, [_dummy_report(incoming)], ResolutionPolicy.disabled())
-    assert verdict.decision is Decision.ALLOW
-    assert len(verdict.reports) == 1
+    reports = [_dummy_report(incoming)]
+    verdict = resolve(incoming, reports, ResolutionPolicy.disabled())
+    assert (verdict.decision, verdict.reports) == (Decision.ALLOW, tuple(reports))
 
 
 def test_resolve_prioritize_rules():
     policy = ResolutionPolicy.prioritize("mro")
-    clean = rec(5, xapp="mlb")
-    assert resolve(clean, [], policy).decision is Decision.ALLOW
-    conflicted = rec(6, xapp="mlb")
-    assert resolve(conflicted, [_dummy_report(conflicted)], policy).decision is Decision.BLOCK
-    own = rec(7, xapp="mro")
-    assert resolve(own, [_dummy_report(own)], policy).decision is Decision.ALLOW
+    # (sender, with a report, decision)
+    table = [
+        ("mro", True, Decision.ALLOW),
+        ("mlb", True, Decision.BLOCK),
+        ("mlb", False, Decision.ALLOW),
+    ]
+    for sender, conflicted, decision in table:
+        incoming = rec(6, xapp=sender)
+        reports = [_dummy_report(incoming)] if conflicted else []
+        verdict = resolve(incoming, reports, policy)
+        assert (verdict.decision, verdict.reports) == (decision, tuple(reports))
+    for bad in ("", None):
+        with pytest.raises(ValidationError):
+            ResolutionPolicy.prioritize(bad)
 
 
 # -- pipeline: processing and state ---------------------------------------------------
@@ -104,7 +108,7 @@ def test_disabled_pipeline_records_both_sides():
     assert v1.decision is Decision.ALLOW and v2.decision is Decision.ALLOW
     assert [r.kind for r in v2.reports] == [ConflictKind.INDIRECT]
     assert [r.msg_id for r in pipe.store.all_controls()] == [1, 2]
-    assert {g.msg_id for g in pipe.store.all_group_changes()} == {1, 2}
+    assert {r.msg_id for _, r in pipe.store.all_group_changes()} == {1, 2}
 
 
 def test_prioritize_blocks_conflicting_other_xapp():
@@ -114,7 +118,7 @@ def test_prioritize_blocks_conflicting_other_xapp():
     assert verdict.decision is Decision.BLOCK
     # blocked messages leave no trace
     assert [r.msg_id for r in pipe.store.all_controls()] == [1]
-    assert {g.msg_id for g in pipe.store.all_group_changes()} == {1}
+    assert {r.msg_id for _, r in pipe.store.all_group_changes()} == {1}
     # and non-conflicting messages from the same sender still pass
     ok = pipe.process_control_message(rec(3, ts=100, xapp="mlb", target=cell("c2"), changes={"cio": -1.0}))
     assert ok.decision is Decision.ALLOW
@@ -126,7 +130,7 @@ def test_same_xapp_update_supersedes():
     v = pipe.process_control_message(rec(2, ts=1000, xapp="mro", changes={"hysteresis": 3.5}))
     assert v.decision is Decision.ALLOW and v.reports == ()
     assert [r.msg_id for r in pipe.store.all_controls()] == [2]
-    assert {g.msg_id for g in pipe.store.all_group_changes()} == {2}
+    assert {r.msg_id for _, r in pipe.store.all_group_changes()} == {2}
 
 
 def test_pipeline_counts_verdicts_and_conflicts():
@@ -186,7 +190,7 @@ def test_on_degradation_quarantines_non_prioritized():
     # mlb's next message touching the quarantined group on that cell is blocked
     v = pipe.process_control_message(rec(10, ts=55_000, xapp="mlb", changes={"cio": -1.0}))
     assert v.decision is Decision.BLOCK
-    assert pipe.store.get_control(10) is None
+    assert 10 not in [r.msg_id for r in pipe.store.all_controls()]
     # a different cell is unaffected
     v2 = pipe.process_control_message(
         rec(11, ts=55_000, xapp="mlb", target=cell("c2"), changes={"cio": -1.0})
@@ -240,23 +244,6 @@ def test_control_record_round_trip():
         "changes": {"cio": -2.0},
         "span_ms": 5000,
     }
-    assert control_record_from_dict(json.loads(json.dumps(d))) == r
-
-
-def test_control_record_from_dict_validates():
-    with pytest.raises(ValidationError):
-        control_record_from_dict({"msg_id": 1})
-    with pytest.raises(ValidationError):
-        control_record_from_dict(
-            {
-                "msg_id": 1,
-                "ts_ms": 0,
-                "xapp_id": "x",
-                "target": {"scope": "nope", "id": "c1"},
-                "changes": {"p": 1},
-                "span_ms": 10,
-            }
-        )
 
 
 def test_verdict_log_line_for_indirect():

@@ -8,8 +8,6 @@ from ricsim.sdl import (
     ControlRecord,
     ControlTarget,
     DuplicateRecordError,
-    GroupChangeRecord,
-    ImplicitCounter,
     ParameterGroupDef,
     Scope,
     SdlStore,
@@ -71,14 +69,6 @@ def test_duplicate_msg_id_rejected():
     store.record_control(rec(1))
     with pytest.raises(DuplicateRecordError):
         store.record_control(rec(1, ts=99))
-
-
-def test_duplicate_group_change_rejected():
-    store = SdlStore()
-    gc = GroupChangeRecord.from_control(rec(1), "g1")
-    store.record_group_change(gc)
-    with pytest.raises(DuplicateRecordError):
-        store.record_group_change(gc)
 
 
 # -- activity window -------------------------------------------------------------
@@ -160,11 +150,58 @@ def test_expire_mixed():
 
 def test_expire_drops_group_changes_with_controls():
     store = SdlStore()
-    r = rec(1, ts=0, span=100)
-    store.record_control(r)
-    store.record_group_change(GroupChangeRecord.from_control(r, "g1"))
+    store.add_parameter_group(ParameterGroupDef("g1", frozenset({"p1", "p2"}), Scope.CELL))
+    store.record_control(rec(1, ts=0, span=100))
     assert store.expire(100) == 2
     assert store.all_group_changes() == ()
+
+
+# -- parameter groups -----------------------------------------------------------------
+
+
+def _two_cell_groups_and_a_ue_group(store):
+    store.add_parameter_group(ParameterGroupDef("g1", frozenset({"p1", "p2"}), Scope.CELL))
+    store.add_parameter_group(ParameterGroupDef("g2", frozenset({"p1", "p3"}), Scope.CELL))
+    store.add_parameter_group(ParameterGroupDef("g3", frozenset({"p1", "p2"}), Scope.UE))
+
+
+def test_record_is_a_change_of_each_group_of_its_scope():
+    store = SdlStore()
+    _two_cell_groups_and_a_ue_group(store)
+    r = rec(1, ts=0, span=None, changes={"p1": 1.0})
+    store.record_control(r)
+    assert store.groups_of(r) == ["g1", "g2"]
+    assert store.active_group_changes(cell(), "g1", 0) == [r]
+    assert store.active_group_changes(cell(), "g2", 0) == [r]
+    # same members, other scope: not a change of that group
+    assert store.active_group_changes(cell(), "g3", 0) == []
+    assert store.active_group_changes(ControlTarget(Scope.UE, "c1"), "g3", 0) == []
+    assert store.all_group_changes() == (("g1", r), ("g2", r))
+
+
+def test_supersede_and_expire_remove_a_record_from_every_view():
+    store = SdlStore()
+    _two_cell_groups_and_a_ue_group(store)
+    store.record_control(rec(1, ts=0, span=None, changes={"p1": 1.0}))
+    assert store.supersede(rec(2, ts=10, span=None, changes={"p1": 2.0})) == [1]
+    store.record_control(rec(3, ts=0, span=100, xapp="x2", changes={"p1": 3.0}))
+    # the record and its two group changes
+    assert store.expire(100) == 3
+    for view in (
+        store.all_controls(),
+        store.all_group_changes(),
+        store.active_controls(cell(), 0),
+        store.active_group_changes(cell(), "g1", 0),
+        store.active_group_changes(cell(), "g2", 0),
+    ):
+        assert not view
+
+
+def test_groups_are_defined_before_records():
+    store = SdlStore()
+    store.record_control(rec(1))
+    with pytest.raises(ValidationError):
+        store.add_parameter_group(ParameterGroupDef("g1", frozenset({"p1", "p2"}), Scope.CELL))
 
 
 # -- supersession -------------------------------------------------------------------
@@ -172,9 +209,8 @@ def test_expire_drops_group_changes_with_controls():
 
 def test_supersede_replaces_same_xapp_overlap():
     store = SdlStore()
-    old = rec(1, ts=0, span=10_000, changes={"hysteresis": 3.0, "ttt": 480})
-    store.record_control(old)
-    store.record_group_change(GroupChangeRecord.from_control(old, "g1"))
+    store.add_parameter_group(ParameterGroupDef("g1", frozenset({"hysteresis", "ttt"}), Scope.CELL))
+    store.record_control(rec(1, ts=0, span=10_000, changes={"hysteresis": 3.0, "ttt": 480}))
     new = rec(2, ts=5000, span=10_000, changes={"hysteresis": 3.5})
     assert store.supersede(new) == [1]
     assert store.all_controls() == ()
@@ -229,7 +265,6 @@ def test_open_record_outlives_expiry_until_superseded():
     store.add_parameter_group(ParameterGroupDef("g", frozenset({"p1", "p2"}), Scope.CELL))
     r = rec(1, ts=100, span=None)
     store.record_control(r)
-    store.record_group_change(GroupChangeRecord.from_control(r, "g"))
     assert store.active_controls(cell(), 99) == []
     assert store.expire(10**9) == 0
     assert store.active_controls(cell(), 10**9) == [r]
