@@ -265,8 +265,8 @@ def correlate_implicit(
     cell = ControlTarget(Scope.CELL, event.cell_id)
     # name -> (xApp ids, msg ids)
     touched: Dict[str, Tuple[Set[str], Set[int]]] = {}
-    for rec in store.all_controls():
-        if rec.target != cell or rec.ts > te:
+    for rec in store.controls_at(cell):
+        if rec.ts > te:
             continue
         if rec.span is not None and te >= rec.ts + rec.span + lookback:
             continue

@@ -5,7 +5,9 @@ frozen per (site, UE, 10 m ground cell): re-evaluating the same geometry
 always yields the same field, which keeps runs reproducible without
 storing any per-pair state.  Neighbouring ground cells share lattice
 draws so the field decorrelates over shadow_corr_m rather than jumping
-independently every 10 m.
+independently every 10 m.  The four lattice corners around a cell are
+hashed in one pass and blended in a fixed order, so the field is the same
+bit for bit however many rows are evaluated together.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ def _node_normals(
     return ndtri(u)
 
 
+# lattice corner offsets (dx, dy) around a ground cell, in blending order
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def shadowing_db(
     seed: int,
     bs_idx: np.ndarray,
@@ -78,7 +84,9 @@ def shadowing_db(
     stored state.  Each cell's value blends counter-free hash draws at the
     four surrounding shadow_corr_m lattice nodes; the blend is rescaled to
     unit variance, keeping the marginal exactly N(0, sigma^2) while the
-    field stays smooth across neighbouring cells.
+    field stays smooth across neighbouring cells.  All four corners are
+    hashed in one `_node_normals` call and added in the fixed order of
+    `_CORNERS`.
     """
     n_ue = len(ue_idx)
     n_bs = len(bs_idx)
@@ -97,24 +105,35 @@ def shadowing_db(
     iy = np.floor(fy).astype(np.int64)
     tx = fx - ix
     ty = fy - iy
+    z = _node_normals(
+        seed,
+        bs_idx,
+        np.tile(ue_idx, len(_CORNERS)),
+        np.concatenate([ix + dx for dx, _ in _CORNERS]),
+        np.concatenate([iy + dy for _, dy in _CORNERS]),
+    ).reshape(len(_CORNERS), n_ue, n_bs)
     acc = np.zeros((n_ue, n_bs))
     wsq = np.zeros(n_ue)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            w = (tx if dx else 1.0 - tx) * (ty if dy else 1.0 - ty)
-            z = _node_normals(seed, bs_idx, ue_idx, ix + dx, iy + dy)
-            acc += w[:, None] * z
-            wsq += w * w
+    for k, (dx, dy) in enumerate(_CORNERS):
+        w = (tx if dx else 1.0 - tx) * (ty if dy else 1.0 - ty)
+        acc += w[:, None] * z[k]
+        wsq += w * w
     return cfg.shadow_sigma_db * acc / np.sqrt(wsq)[:, None]
 
 
-def sinr_db(rsrp_dbm: np.ndarray, serving: np.ndarray, noise_dbm: float) -> np.ndarray:
-    """Per-UE SINR on the serving link, all other sites as interference."""
-    linear = 10.0 ** (rsrp_dbm / 10.0)
-    own = linear[np.arange(len(serving)), serving]
+def sinr_db(
+    rsrp_dbm: np.ndarray, linear: np.ndarray, serving: np.ndarray, noise_dbm: float
+) -> np.ndarray:
+    """Per-UE SINR on the serving link, all other sites as interference.
+
+    `linear` is the received power in mW, `10 ** (rsrp_dbm / 10)`, which
+    the caller computes once and shares with its other uses.
+    """
+    rows = np.arange(len(serving))
+    own = linear[rows, serving]
     noise = 10.0 ** (noise_dbm / 10.0)
     denom = linear.sum(axis=1) - own + noise
-    return rsrp_dbm[np.arange(len(serving)), serving] - 10.0 * np.log10(denom)
+    return rsrp_dbm[rows, serving] - 10.0 * np.log10(denom)
 
 
 def unit_throughput_mbps(sinr: np.ndarray, cfg: RadioConfig) -> np.ndarray:

@@ -139,11 +139,6 @@ class WorldState:
         }
         self._events: List[dict] = []
 
-        # per-tick snapshots for inspection and tests
-        self.last_achieved_mbps = np.zeros(n)
-        self.last_active_mask = np.zeros(n, dtype=bool)
-        self.last_sinr_db = np.zeros(n)
-
         self._p_arrival = 1.0 - float(np.exp(-(cfg.tick_ms / 1000.0) / cfg.session_arrival_mean_s))
 
     # -- helpers ------------------------------------------------------------------
@@ -231,11 +226,11 @@ class WorldState:
 
         self._move(dt)
         rsrp = self._rsrp()
+        linear = 10.0 ** (rsrp / 10.0)
         biased = rsrp + self.cio[None, :]
         self._end_outages(rsrp)
-        self._handover_phase(rsrp, biased, dt)
-        sinr = radio.sinr_db(rsrp, self.serving, cfg.radio.noise_dbm)
-        self.last_sinr_db = sinr
+        self._handover_phase(rsrp, linear, biased, dt)
+        sinr = radio.sinr_db(rsrp, linear, self.serving, cfg.radio.noise_dbm)
         self._rlf_phase(sinr, dt)
         self._session_phase(sinr)
 
@@ -272,7 +267,9 @@ class WorldState:
             self.last_ho_ts[back] = _FAR_PAST
             self.last_ho_from[back] = -1
 
-    def _handover_phase(self, rsrp: np.ndarray, biased: np.ndarray, dt: int) -> None:
+    def _handover_phase(
+        self, rsrp: np.ndarray, linear: np.ndarray, biased: np.ndarray, dt: int
+    ) -> None:
         cfg = self.cfg
         n = len(self.pos)
         rows = np.arange(n)
@@ -289,14 +286,14 @@ class WorldState:
         # a cell must have room for an inbound session at the quality it will
         # actually get there; full cells admit nobody and churn can only drain them
         noise_w = 10.0 ** (cfg.radio.noise_dbm / 10.0)
-        sinr_now = radio.sinr_db(rsrp, self.serving, cfg.radio.noise_dbm)
+        sinr_now = radio.sinr_db(rsrp, linear, self.serving, cfg.radio.noise_dbm)
         cell_ru, ru_ue = self._demanded_units(radio.unit_throughput_mbps(sinr_now, cfg.radio))
         for ue in movers:
             cands = np.nonzero(ready[ue])[0]
             target = int(cands[np.argmax(biased[ue, cands])])
             source = int(self.serving[ue])
             if self.session_active[ue]:
-                lin = 10.0 ** (rsrp[ue] / 10.0)
+                lin = linear[ue]
                 sinr_t = rsrp[ue, target] - 10.0 * np.log10(lin.sum() - lin[target] + noise_w)
                 tp_t = radio.unit_throughput_mbps(np.asarray([sinr_t]), cfg.radio)[0]
                 need = self.session_demand[ue] / max(float(tp_t), 1e-12)
@@ -431,18 +428,14 @@ class WorldState:
                     self._win_cb[cell] += 1
 
         # per-tick load and satisfaction, including sessions admitted above
-        cell_ru, ru = self._demanded_units(unit_tp)
+        cell_ru, _ = self._demanded_units(unit_tp)
         load_raw = cell_ru / cfg.capacity_units
         self._load_sum += np.minimum(load_raw, 1.0)
         self._load_ticks += 1
         scale = np.where(load_raw > 1.0, 1.0 / np.maximum(load_raw, 1e-12), 1.0)
-        active = self.session_active
-        sat = scale[self.serving[active]]
-        np.add.at(self._sat_sum, self.serving[active], sat)
-        np.add.at(self._sat_cnt, self.serving[active], 1)
-        self.last_active_mask = active.copy()
-        self.last_achieved_mbps = np.zeros(len(self.pos))
-        self.last_achieved_mbps[active] = self.session_demand[active] * scale[self.serving[active]]
+        served = self.serving[self.session_active]
+        np.add.at(self._sat_sum, served, scale[served])
+        np.add.at(self._sat_cnt, served, 1)
 
     # -- KPI windows --------------------------------------------------------------------------
 

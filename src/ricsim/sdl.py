@@ -224,6 +224,10 @@ class SdlStore:
         at = self._groups_at.get((target, group_id))
         return [r for r in at.values() if r.active_at(now)] if at else []
 
+    def controls_at(self, target: ControlTarget) -> Tuple[ControlRecord, ...]:
+        """Records stored for `target`, active or not, in insertion order."""
+        return tuple(self._controls_at.get(target, {}).values())
+
     def all_controls(self) -> Tuple[ControlRecord, ...]:
         return tuple(self._controls.values())
 

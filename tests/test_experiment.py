@@ -1,6 +1,7 @@
 """Runner, sweep, and CLI tests on a small fast scenario."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -43,6 +44,23 @@ def small_json(tmp_path, **extra):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(data))
     return str(p)
+
+
+# Fingerprints of the default world: seed 0, 120 s simulated after a 60 s
+# warm-up. A speed-up must leave them unchanged; a change that moves the
+# trajectory on purpose updates them in a change of its own.
+PINNED_FINGERPRINTS = {
+    "disabled": "e186e6865618ce28df63f42b55c29d48234a0a2c7efe62763e8db78ea0c4daa4",
+    "prioritize-mro": "f9083d82d778daef72bd479805b4532fe038f67d7116cbfe5c2a41c3822c304f",
+    "prioritize-mlb": "d84a931c58f29a2e81e764088d829af5ead3b04e993f8d106b0176d6ff65c65d",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_default_trajectory_is_pinned(mode):
+    scenario = dataclasses.replace(ScenarioConfig(), duration_ms=120_000, warmup_ms=60_000)
+    result = run(ExperimentConfig(scenario=scenario), mode, 0)
+    assert result.fingerprint == PINNED_FINGERPRINTS[mode]
 
 
 def test_disabled_run_is_bypass_identical():

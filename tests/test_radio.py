@@ -8,6 +8,7 @@ import pytest
 from ricsim.ran.config import ScenarioConfig
 from ricsim.ran.radio import (
     RadioConfig,
+    _node_normals,
     path_loss_db,
     shadowing_db,
     sinr_db,
@@ -97,10 +98,56 @@ def test_shadowing_independent_when_correlation_disabled():
     assert abs(float(np.corrcoef(vals[:-1], vals[1:])[0, 1])) < 0.1
 
 
+def four_pass_shadowing(seed, bs_idx, ue_idx, ue_pos, cfg):
+    """Reference blend: one `_node_normals` call per lattice corner."""
+    gx = np.floor(ue_pos[:, 0] / cfg.shadow_grid_m).astype(np.int64)
+    gy = np.floor(ue_pos[:, 1] / cfg.shadow_grid_m).astype(np.int64)
+    fx = (gx.astype(np.float64) + 0.5) * cfg.shadow_grid_m / cfg.shadow_corr_m
+    fy = (gy.astype(np.float64) + 0.5) * cfg.shadow_grid_m / cfg.shadow_corr_m
+    ix = np.floor(fx).astype(np.int64)
+    iy = np.floor(fy).astype(np.int64)
+    tx = fx - ix
+    ty = fy - iy
+    acc = np.zeros((len(ue_idx), len(bs_idx)))
+    wsq = np.zeros(len(ue_idx))
+    for dx in (0, 1):
+        for dy in (0, 1):
+            w = (tx if dx else 1.0 - tx) * (ty if dy else 1.0 - ty)
+            z = _node_normals(seed, bs_idx, ue_idx, ix + dx, iy + dy)
+            acc += w[:, None] * z
+            wsq += w * w
+    return cfg.shadow_sigma_db * acc / np.sqrt(wsq)[:, None]
+
+
+def shadowing_cases():
+    rng = np.random.default_rng(2024)
+    n = 1500
+    yield rng.uniform(-4000.0, 4000.0, size=(n, 2)), rng.integers(0, 1000, n)
+    # points exactly on 10 m ground-cell and 50 m lattice lines, both signs
+    line = np.arange(-200.0, 201.0, 10.0)
+    gx, gy = np.meshgrid(line, line)
+    on = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    yield on, np.arange(len(on))
+    # a hair either side of the same lines
+    yield np.nextafter(on, -np.inf), np.arange(len(on))
+    yield np.nextafter(on, np.inf), np.arange(len(on))
+    yield np.array([[-0.0, 49.999]]), np.array([3])
+
+
+@pytest.mark.parametrize("n_bs", [1, 7, 19])
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_one_pass_shadowing_is_bit_identical_to_four_passes(seed, n_bs):
+    bs_idx = np.arange(n_bs)
+    for pos, ue_idx in shadowing_cases():
+        got = shadowing_db(seed, bs_idx, ue_idx, pos, CFG)
+        assert got.shape == (len(ue_idx), n_bs)
+        assert np.array_equal(got, four_pass_shadowing(seed, bs_idx, ue_idx, pos, CFG))
+
+
 def test_sinr_hand_computed():
     rsrp = np.array([[-60.0, -70.0, -80.0]])
     serving = np.array([0])
-    got = sinr_db(rsrp, serving, noise_dbm=-104.0)[0]
+    got = sinr_db(rsrp, 10.0 ** (rsrp / 10.0), serving, noise_dbm=-104.0)[0]
     interference_mw = 10 ** (-70 / 10) + 10 ** (-80 / 10) + 10 ** (-104 / 10)
     expected = -60.0 - 10 * math.log10(interference_mw)
     assert got == pytest.approx(expected)

@@ -117,6 +117,20 @@ def test_active_controls_matches_history_filter(records, target, now):
     assert store.active_controls(target, now) == oracle
 
 
+@given(_records(), _targets, st.integers(0, 300))
+@settings(max_examples=200)
+def test_controls_at_matches_store_filter(records, target, now):
+    # per-target records, active or not, in the store's insertion order,
+    # before and after expiry thins the store
+    store = SdlStore()
+    for r in records:
+        store.record_control(r)
+    for _ in range(2):
+        oracle = tuple(r for r in store.all_controls() if r.target == target)
+        assert store.controls_at(target) == oracle
+        store.expire(now)
+
+
 @given(_records(), st.integers(0, 300), _targets, st.integers(0, 100))
 @settings(max_examples=200)
 def test_expire_preserves_queries_at_or_after_now(records, now, target, ahead):

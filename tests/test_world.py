@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ricsim.ran import grid
+from ricsim.ran import grid, radio
 from ricsim.ran.config import ScenarioConfig
 from ricsim.ran.radio import RadioConfig
 from ricsim.ran.world import WorldState, build_scenario
@@ -310,11 +310,22 @@ def test_no_rlf_while_in_outage():
 # -- admission and satisfaction ----------------------------------------------------------
 
 
-def unit_tp_at(world, ue):
-    world.step()
-    return float(
-        np.minimum(6.0, np.log2(1.0 + 10.0 ** (world.last_sinr_db[ue] / 10.0))) * 0.18
-    )
+def achieved_mbps(world):
+    """Rate each session got in the last tick, recomputed from public state.
+
+    Positions, attachments and sessions are as the tick left them, so this
+    repeats the tick's own SINR, per-cell load and overload scaling.
+    """
+    rcfg = world.cfg.radio
+    rsrp = world._rsrp()
+    sinr = radio.sinr_db(rsrp, 10.0 ** (rsrp / 10.0), world.serving, rcfg.noise_dbm)
+    cell_ru, _ = world._demanded_units(radio.unit_throughput_mbps(sinr, rcfg))
+    load = cell_ru / world.cfg.capacity_units
+    scale = np.where(load > 1.0, 1.0 / np.maximum(load, 1e-12), 1.0)
+    active = world.session_active
+    out = np.zeros(len(world.pos))
+    out[active] = world.session_demand[active] * scale[world.serving[active]]
+    return out
 
 
 def test_admission_blocks_when_capacity_exceeded():
@@ -381,7 +392,7 @@ def test_overload_scales_satisfaction():
     assert per_cell[0].mean_bs_load == 1.0
     assert math.isclose(per_cell[0].mean_user_satisfaction, scale, rel_tol=1e-9)
     assert math.isclose(network.mean_user_satisfaction, scale, rel_tol=1e-9)
-    assert np.allclose(world.last_achieved_mbps, world.session_demand * scale)
+    assert np.allclose(achieved_mbps(world), world.session_demand * scale)
 
 
 def test_idle_cell_reports_full_satisfaction():
@@ -398,9 +409,9 @@ def test_satisfaction_recomputable_from_snapshots():
     world = build_scenario(small_cfg(n_ue=120, seed=42))
     for _ in range(600):
         world.step()
-    active = world.last_active_mask
+    active = world.session_active
     if active.any():
-        ratio = world.last_achieved_mbps[active] / world.session_demand[active]
+        ratio = achieved_mbps(world)[active] / world.session_demand[active]
         assert (ratio <= 1.0 + 1e-9).all() and (ratio > 0.0).all()
 
 
