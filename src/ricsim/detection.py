@@ -145,15 +145,8 @@ def detect_indirect(
 
 # -- performance monitoring ------------------------------------------------------
 
-# True: larger values are worse. Unknown KPIs default to higher-is-worse.
-ADVERSE_HIGHER = {
-    "mean_bs_load": True,
-    "mean_user_satisfaction": False,
-    "call_blockages": True,
-    "rlfs": True,
-    "handovers": True,
-    "pingpong_handovers": True,
-}
+# KPIs whose drop is adverse; for every other KPI a rise is
+ADVERSE_LOWER = frozenset({"mean_user_satisfaction"})
 
 # floor of a window's stdev, so a constant window still scores deviations
 STDEV_FLOOR = 1e-6
@@ -192,9 +185,10 @@ class PerformanceMonitor:
     A stream is one (kpi_name, cell_id) pair. Once a stream's reference
     window is full, a new value deviating in the adverse direction by more
     than `sigma` standard deviations is flagged; the stdev is floored at
-    `STDEV_FLOOR` to keep constant windows usable. `ADVERSE_HIGHER` gives
-    each KPI's adverse direction. Every observation enters the window, so
-    the reference tracks the recent past whether or not it was flagged.
+    `STDEV_FLOOR` to keep constant windows usable. A drop is adverse for
+    the KPIs in `ADVERSE_LOWER`, a rise for all others. Every observation
+    enters the window, so the reference tracks the recent past whether or
+    not it was flagged.
     """
 
     def __init__(self, window: int = 20, sigma: float = 3.0) -> None:
@@ -223,8 +217,8 @@ class PerformanceMonitor:
         if len(win) == self.window:
             mean = statistics.fmean(win)
             stdev = max(STDEV_FLOOR, statistics.stdev(win))
-            higher_worse = ADVERSE_HIGHER.get(point.kpi_name, True)
-            deviation = (point.value - mean) if higher_worse else (mean - point.value)
+            lower_worse = point.kpi_name in ADVERSE_LOWER
+            deviation = (mean - point.value) if lower_worse else (point.value - mean)
             if deviation > self.sigma * stdev:
                 event = DegradationEvent(
                     event_id=next(self._event_ids),
@@ -249,16 +243,22 @@ class ImplicitConfig:
     lookback_ms: int = 10_000
     threshold: int = 3
 
+    def __post_init__(self) -> None:
+        if self.lookback_ms < 0 or self.threshold < 1:
+            raise ValidationError("implicit correlation needs lookback >= 0 and threshold >= 1")
+
 
 def correlate_implicit(
     event: DegradationEvent, store: SdlStore, config: ImplicitConfig
 ) -> List[CounterKey]:
     """Bump counters for names touched by several xApps near a degradation.
 
-    Considers the records on the degraded cell that were active at the
-    event or whose span ran out less than the lookback before it; each
-    counts for every parameter it sets and every group it touches. Never
-    looks at messages sent after the event. Returns the bumped keys, sorted.
+    Considers the records on the degraded cell sent at or before the event.
+    The lookback only drops a record with a span that ran out at least
+    `lookback_ms` before the event; a record without a span, the only kind
+    the MRO and MLB xApps send, counts until it is superseded, however old
+    it is. Each record counts for every parameter it sets and every group
+    it touches. Returns the bumped keys, sorted.
     """
     te = event.ts
     lookback = config.lookback_ms

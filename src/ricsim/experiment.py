@@ -27,7 +27,7 @@ from .detection import (
     parameter_group_from_dict,
 )
 from .ran.config import ScenarioConfig, config_from_dict, scenario_from_dict
-from .ran.world import KPI_NAMES, build_scenario
+from .ran.world import KPI_NAMES, MEAN_KPIS, build_scenario
 from .resolution import (
     ConflictPipeline,
     Decision,
@@ -45,17 +45,19 @@ from .xapps import (
     mro_decide,
 )
 
-MODES = ("disabled", "prioritize-mro", "prioritize-mlb")
+# mitigation mode -> the xApp it gives the right of way; None lets every
+# message through and is the baseline of a sweep's deltas
+PRIORITIZED_XAPP = {
+    "disabled": None,
+    "prioritize-mro": MRO_XAPP_ID,
+    "prioritize-mlb": MLB_XAPP_ID,
+}
+MODES = tuple(PRIORITIZED_XAPP)
 
 CSV_COLUMNS = (
     "mode",
     "seed",
-    "mean_bs_load",
-    "mean_user_satisfaction",
-    "call_blockages",
-    "rlfs",
-    "handovers",
-    "pingpong_handovers",
+    *KPI_NAMES,
     "allowed",
     "blocked",
     "direct_conflicts",
@@ -69,13 +71,9 @@ DEFAULT_GROUPS = (
 
 
 def policy_for_mode(mode: str) -> ResolutionPolicy:
-    if mode == "disabled":
-        return ResolutionPolicy.disabled()
-    if mode == "prioritize-mro":
-        return ResolutionPolicy.prioritize(MRO_XAPP_ID)
-    if mode == "prioritize-mlb":
-        return ResolutionPolicy.prioritize(MLB_XAPP_ID)
-    raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if mode not in PRIORITIZED_XAPP:
+        raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
+    return ResolutionPolicy(PRIORITIZED_XAPP[mode])
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.monitor_window < 2 or self.monitor_sigma <= 0:
             raise ValidationError("monitor needs window >= 2 and positive sigma")
-        if min(self.implicit_lookback_ms, self.quarantine_ms) < 0:
-            raise ValidationError("lookback and quarantine must be non-negative")
-        if self.implicit_threshold < 1:
-            raise ValidationError("implicit threshold must be at least 1")
+        if self.quarantine_ms <= 0:
+            raise ValidationError("quarantine must be positive")
+        self.implicit()  # checks the lookback and the threshold
+
+    def implicit(self) -> ImplicitConfig:
+        return ImplicitConfig(self.implicit_lookback_ms, self.implicit_threshold)
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,7 @@ class RunResult:
         return [
             self.mode,
             self.seed,
-            repr(self.kpis["mean_bs_load"]),
-            repr(self.kpis["mean_user_satisfaction"]),
-            int(self.kpis["call_blockages"]),
-            int(self.kpis["rlfs"]),
-            int(self.kpis["handovers"]),
-            int(self.kpis["pingpong_handovers"]),
+            *(repr(self.kpis[k]) if k in MEAN_KPIS else int(self.kpis[k]) for k in KPI_NAMES),
             self.allowed,
             self.blocked,
             self.conflicts["direct"],
@@ -197,10 +192,7 @@ def run(
     pipeline = ConflictPipeline(
         store,
         policy,
-        implicit_config=ImplicitConfig(
-            lookback_ms=pcfg.implicit_lookback_ms,
-            threshold=pcfg.implicit_threshold,
-        ),
+        implicit_config=pcfg.implicit(),
         quarantine_ms=pcfg.quarantine_ms,
         verdict_sink=None if logs is None else logs["verdicts"].append,
     )
@@ -243,15 +235,11 @@ def run(
         store.expire(now)
 
         if now > scen.warmup_ms:
-            kpi_totals["mean_bs_load"] += network.mean_bs_load
-            kpi_totals["mean_user_satisfaction"] += network.mean_user_satisfaction
-            kpi_totals["call_blockages"] += network.call_blockages
-            kpi_totals["rlfs"] += network.rlfs
-            kpi_totals["handovers"] += network.handovers
-            kpi_totals["pingpong_handovers"] += network.pingpong_handovers
+            for name in KPI_NAMES:
+                kpi_totals[name] += network.value(name)
             mean_windows += 1
 
-    for name in ("mean_bs_load", "mean_user_satisfaction"):
+    for name in MEAN_KPIS:
         kpi_totals[name] /= max(mean_windows, 1)
 
     result = RunResult(
@@ -285,17 +273,40 @@ def result_to_dict(r: RunResult) -> dict:
     return d
 
 
-DELTA_KPIS = KPI_NAMES
-
-
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Per-mode KPI means plus percentage deltas against the baseline mode."""
+    """Per-mode KPI means, and percentage deltas against the `disabled` runs.
 
-    results: Tuple[RunResult, ...]
+    A mode's delta for a KPI is the mean, over the seeds whose `disabled`
+    value of that KPI is non-zero, of the per-seed percentage change, and
+    its stdev is their sample stdev. `disabled` itself has delta 0.0 and no
+    stdev. A delta is None when no seed qualifies, as in a sweep without
+    `disabled`; a stdev is None with fewer than two such seeds.
+    """
+
     means: Dict[str, Dict[str, float]]
     deltas: Dict[str, Dict[str, Optional[float]]]
     delta_stdevs: Dict[str, Dict[str, Optional[float]]]
+
+    @classmethod
+    def from_runs(cls, by_mode: Mapping[str, Sequence[RunResult]]) -> "ComparisonTable":
+        """Aggregate the runs of each mode, in the mapping's order."""
+        base = {r.seed: r.kpis for r in by_mode.get("disabled", ())}
+        means: Dict[str, Dict[str, float]] = {}
+        deltas: Dict[str, Dict[str, Optional[float]]] = {}
+        stdevs: Dict[str, Dict[str, Optional[float]]] = {}
+        for m, runs in by_mode.items():
+            means[m] = {k: statistics.fmean(r.kpis[k] for r in runs) for k in KPI_NAMES}
+            if m == "disabled":
+                deltas[m], stdevs[m] = dict.fromkeys(KPI_NAMES, 0.0), dict.fromkeys(KPI_NAMES)
+                continue
+            deltas[m], stdevs[m] = {}, {}
+            pairs = [(r.kpis, base[r.seed]) for r in runs if r.seed in base]
+            for k in KPI_NAMES:
+                vals = [100.0 * (v[k] - b[k]) / b[k] for v, b in pairs if b[k] != 0]
+                deltas[m][k] = statistics.fmean(vals) if vals else None
+                stdevs[m][k] = statistics.stdev(vals) if len(vals) > 1 else None
+        return cls(means=means, deltas=deltas, delta_stdevs=stdevs)
 
     def render(self) -> str:
         modes = list(self.means)
@@ -303,14 +314,14 @@ class ComparisonTable:
         header = f"{'kpi':<24}" + "".join(f"{m:>18}" for m in modes)
         lines.append(header)
         lines.append("-" * len(header))
-        for kpi in DELTA_KPIS:
+        for kpi in KPI_NAMES:
             row = f"{kpi:<24}"
             for m in modes:
                 row += f"{self.means[m][kpi]:>18.4f}"
             lines.append(row)
         lines.append("")
         lines.append("percentage deltas vs disabled (mean of per-seed deltas +/- stdev)")
-        for kpi in DELTA_KPIS:
+        for kpi in KPI_NAMES:
             row = f"{kpi:<24}"
             for m in modes:
                 if m == "disabled":
@@ -328,31 +339,24 @@ class ComparisonTable:
             lines.append(row)
         return "\n".join(lines)
 
+    def summary_rows(self) -> List[List[str]]:
+        """The rows of `summary.csv`, header first; None is an empty cell."""
+        rows = [["mode", "kpi", "mean", "delta_pct_vs_disabled", "delta_stdev"]]
+        for m in self.means:
+            for kpi in KPI_NAMES:
+                values = (self.means[m][kpi], self.deltas[m][kpi], self.delta_stdevs[m][kpi])
+                rows.append([m, kpi, *("" if v is None else repr(v) for v in values)])
+        return rows
 
-def runs_csv(results: Sequence[RunResult]) -> str:
+
+def _csv(rows: Iterable[Sequence[object]]) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in results:
-        w.writerow(r.csv_row())
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def percentage_deltas(
-    baseline: Sequence[RunResult], variant: Sequence[RunResult]
-) -> Dict[str, List[float]]:
-    """Per-seed percentage deltas per KPI; seeds with a zero baseline value
-    for a KPI are skipped for that KPI."""
-    base_by_seed = {r.seed: r for r in baseline}
-    out: Dict[str, List[float]] = {k: [] for k in DELTA_KPIS}
-    for v in variant:
-        b = base_by_seed[v.seed]
-        for kpi in DELTA_KPIS:
-            denom = b.kpis[kpi]
-            if denom == 0:
-                continue
-            out[kpi].append(100.0 * (v.kpis[kpi] - denom) / denom)
-    return out
+def runs_csv(results: Sequence[RunResult]) -> str:
+    return _csv([CSV_COLUMNS, *(r.csv_row() for r in results)])
 
 
 def sweep(
@@ -370,52 +374,11 @@ def sweep(
         for seed in seeds:
             results.append(run(config, mode, seed, out_dir=out_dir))
 
-    by_mode = {m: [r for r in results if r.mode == m] for m in modes}
-    means: Dict[str, Dict[str, float]] = {}
-    for m in modes:
-        means[m] = {
-            kpi: statistics.fmean(r.kpis[kpi] for r in by_mode[m]) for kpi in DELTA_KPIS
-        }
-    deltas: Dict[str, Dict[str, Optional[float]]] = {}
-    stdevs: Dict[str, Dict[str, Optional[float]]] = {}
-    base = by_mode.get("disabled", [])
-    for m in modes:
-        deltas[m] = {}
-        stdevs[m] = {}
-        if m == "disabled" or not base:
-            for kpi in DELTA_KPIS:
-                deltas[m][kpi] = 0.0 if m == "disabled" else None
-                stdevs[m][kpi] = None
-            continue
-        per_seed = percentage_deltas(base, by_mode[m])
-        for kpi in DELTA_KPIS:
-            vals = per_seed[kpi]
-            deltas[m][kpi] = statistics.fmean(vals) if vals else None
-            stdevs[m][kpi] = statistics.stdev(vals) if len(vals) > 1 else None
-
-    table = ComparisonTable(
-        results=tuple(results), means=means, deltas=deltas, delta_stdevs=stdevs
-    )
+    table = ComparisonTable.from_runs({m: [r for r in results if r.mode == m] for m in modes})
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "runs.csv").write_text(runs_csv(results), encoding="utf-8")
         (out / "summary.txt").write_text(table.render() + "\n", encoding="utf-8")
-        summary_rows = [["mode", "kpi", "mean", "delta_pct_vs_disabled", "delta_stdev"]]
-        for m in modes:
-            for kpi in DELTA_KPIS:
-                d = deltas[m][kpi]
-                s = stdevs[m][kpi]
-                summary_rows.append(
-                    [
-                        m,
-                        kpi,
-                        repr(means[m][kpi]),
-                        "" if d is None else repr(d),
-                        "" if s is None else repr(s),
-                    ]
-                )
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(summary_rows)
-        (out / "summary.csv").write_text(buf.getvalue(), encoding="utf-8")
+        (out / "summary.csv").write_text(_csv(table.summary_rows()), encoding="utf-8")
     return table, results

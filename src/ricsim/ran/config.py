@@ -19,7 +19,6 @@ TTT_LADDER: Tuple[int, ...] = (
 class ScenarioConfig:
     """Everything that defines one simulated network and its traffic."""
 
-    n_bs: int = 19
     rings: int = 2
     isd_m: float = 600.0
     n_ue: int = 380
@@ -69,12 +68,17 @@ class ScenarioConfig:
             raise ValidationError("KPI window must be a whole number of ticks")
         if self.duration_ms % self.kpi_window_ms != 0:
             raise ValidationError("duration must be a whole number of KPI windows")
-        if self.n_ue <= 0 or self.n_bs <= 0:
-            raise ValidationError("need at least one UE and one site")
+        if self.n_ue <= 0 or self.rings < 0:
+            raise ValidationError("need at least one UE and rings >= 0")
         if not 0.0 <= self.vehicle_fraction <= 1.0:
             raise ValidationError("vehicle_fraction must be within [0, 1]")
         if self.ttt_ladder_ms != tuple(sorted(self.ttt_ladder_ms)):
             raise ValidationError("ttt ladder must be ascending")
+
+    @property
+    def n_bs(self) -> int:
+        """Site count of the hex grid: the centre plus 6k sites on ring k."""
+        return 1 + 3 * self.rings * (self.rings + 1)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(self, seed=seed)
@@ -99,7 +103,12 @@ def config_from_dict(cls, data: Mapping, what: str, **convert: Callable):
 
 
 def scenario_from_dict(data: Mapping) -> ScenarioConfig:
-    """Build a config from a plain dict, rejecting unknown keys."""
+    """Build a config from a plain dict, rejecting unknown keys and the seed."""
+    if isinstance(data, Mapping) and "seed" in data:
+        raise ValidationError(
+            "scenario.seed is not a config key: set the seed with --seed "
+            "(--seeds or --seed-list for a sweep)"
+        )
     tuples = ("profile_probs", "profile_bitrates_mbps", "hysteresis_range_db",
               "cio_range_db", "ttt_ladder_ms")
     return config_from_dict(

@@ -334,6 +334,22 @@ def test_correlate_honours_lookback():
     ]
 
 
+def test_lookback_keeps_records_without_a_span():
+    # xApp records carry no span: however old, they count until superseded
+    store = SdlStore()
+    store.record_control(rec(1, ts=0, xapp="x1", changes={"p": 1.0}, span=None))
+    store.record_control(rec(2, ts=1_000, xapp="x2", changes={"p": 2.0}, span=None))
+    keys = correlate_implicit(degradation(ts=60_000), store, ImplicitConfig(lookback_ms=10_000))
+    assert keys == [(("x1", "x2"), "p", cell())]
+    assert store.get_counter(keys[0]).count == 1
+
+
+@pytest.mark.parametrize("kwargs", [{"lookback_ms": -5}, {"threshold": 0}])
+def test_implicit_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValidationError):
+        ImplicitConfig(**kwargs)
+
+
 def test_correlate_ignores_messages_after_event():
     store = SdlStore()
     store.record_control(rec(1, ts=8000, xapp="x1", changes={"p": 1.0}))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -25,7 +26,7 @@ from ricsim.sdl import Scope, ValidationError
 
 SMALL = ExperimentConfig(
     scenario=ScenarioConfig(
-        n_bs=7, rings=1, n_ue=60, duration_ms=60_000, warmup_ms=10_000, seed=0
+        rings=1, n_ue=60, duration_ms=60_000, warmup_ms=10_000, seed=0
     )
 )
 
@@ -33,7 +34,6 @@ SMALL = ExperimentConfig(
 def small_json(tmp_path, **extra):
     data = {
         "scenario": {
-            "n_bs": 7,
             "rings": 1,
             "n_ue": 60,
             "duration_ms": 60000,
@@ -120,6 +120,24 @@ def test_run_writes_logs(tmp_path):
     assert "session_arrival" in kinds
 
 
+# SHA-256 of the sweep files of SMALL; a refactor must leave them unchanged
+SWEEP_DIGESTS = {
+    "runs.csv": "431bb004b64cb3d4a2aca8136035c7c054585fbe0892b1ee3d117050b39b9ad7",
+    "summary.csv": "f61717404545dd13deff94c66c3d8fa6d7ed1c8cb35a223d44a08d37b6fda596",
+    "summary.txt": "5dd2069ba2e7269258ffe1b50934827cbb141aeaa17cef21d96bb52bbd0e2ea6",
+}
+# the same without `disabled`: no baseline, every delta is n/a
+NO_BASELINE_DIGESTS = {
+    "runs.csv": "a2d8a7a6ab5ee58b18148365d03eabf5b76f199714f9b7c45370132a23fa3da9",
+    "summary.csv": "58fb11fa5364c63a52cb9851ff77c5b159299c3ac2a3ed4966bcdd139ac1b970",
+    "summary.txt": "70a36c0637b3756a9e19542994b038d7991ed4a272fb8411dff0b9e35920bcbc",
+}
+
+
+def file_digests(directory, names):
+    return {n: hashlib.sha256((directory / n).read_bytes()).hexdigest() for n in names}
+
+
 def test_sweep_outputs(tmp_path):
     table, results = sweep(SMALL, seeds=[0, 1], out_dir=str(tmp_path))
     assert len(results) == 6
@@ -133,9 +151,15 @@ def test_sweep_outputs(tmp_path):
     rendered = table.render()
     for mode in MODES:
         assert mode in rendered
-    assert (tmp_path / "summary.csv").exists()
-    assert (tmp_path / "summary.txt").exists()
     assert runs_csv(results) == text
+    assert file_digests(tmp_path, SWEEP_DIGESTS) == SWEEP_DIGESTS
+
+
+def test_sweep_outputs_without_baseline(tmp_path):
+    modes = ("prioritize-mro", "prioritize-mlb")
+    table, _ = sweep(SMALL, seeds=[0], modes=modes, out_dir=str(tmp_path))
+    assert all(v is None for v in table.deltas["prioritize-mro"].values())
+    assert file_digests(tmp_path, NO_BASELINE_DIGESTS) == NO_BASELINE_DIGESTS
 
 
 def test_sweep_rejects_empty_seeds():
@@ -158,6 +182,20 @@ def test_experiment_config_validation():
         experiment_from_dict({"scenaro": {}})
     with pytest.raises(ValidationError):
         PipelineConfig(implicit_threshold=0)
+    with pytest.raises(ValidationError, match="quarantine"):
+        experiment_from_dict({"pipeline": {"quarantine_ms": 0}})
+
+
+def test_site_count_comes_from_rings():
+    with pytest.raises(ValidationError, match="n_bs"):
+        experiment_from_dict({"scenario": {"n_bs": 7}})
+    with pytest.raises(ValidationError, match="rings"):
+        ScenarioConfig(rings=-1)
+
+
+def test_config_file_cannot_set_the_seed():
+    with pytest.raises(ValidationError, match="--seed"):
+        experiment_from_dict({"scenario": {"seed": 5}})
 
 
 def test_config_json_round_trip(tmp_path):
@@ -218,10 +256,13 @@ def test_cli_bad_flag_exits_2(capsys, argv, message):
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     cases = [
-        (small_json(tmp_path, pipeline={"bogus": 1}), "bogus"),
-        (str(tmp_path / "missing.json"), "cannot read config"),
+        ({"pipeline": {"bogus": 1}}, "bogus"),
+        ({"scenario": {"n_bs": 7}}, "n_bs"),
+        ({"scenario": {"seed": 5}}, "--seed"),
+        (None, "cannot read config"),
     ]
-    for cfg, message in cases:
+    for extra, message in cases:
+        cfg = str(tmp_path / "missing.json") if extra is None else small_json(tmp_path, **extra)
         with pytest.raises(SystemExit) as exc:
             main(["run", "--mode", "disabled", "--config", cfg])
         assert exc.value.code == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ricsim.ran.config import ScenarioConfig
 from ricsim.ran.grid import (
     area_vertices,
     contains,
@@ -20,6 +21,11 @@ def test_two_ring_grid_has_19_sites():
     assert np.sum(np.isclose(r, 600.0)) == 6
     assert (np.sort(r) == r).sum() >= 1  # centre first
     assert len(pos) == 19
+
+
+@pytest.mark.parametrize("rings", range(4))
+def test_config_site_count_matches_the_grid(rings):
+    assert ScenarioConfig(rings=rings).n_bs == len(hex_grid_positions(600.0, rings))
 
 
 def test_nearest_neighbour_distance_is_isd():

@@ -33,7 +33,7 @@ def test_path_loss_clamps_below_10m():
 
 def one_site_rsrp(ue_pos):
     """RSRP the world computes for UEs placed at `ue_pos` around one site at the origin."""
-    cfg = ScenarioConfig(n_bs=1, rings=0, n_ue=len(ue_pos), radio=NO_SHADOW, seed=0)
+    cfg = ScenarioConfig(rings=0, n_ue=len(ue_pos), radio=NO_SHADOW, seed=0)
     world = build_scenario(cfg)
     assert np.array_equal(world.bs_pos, [[0.0, 0.0]])
     world.pos[:] = ue_pos

@@ -28,7 +28,6 @@ PINNED = dict(
 
 def small_cfg(**kw):
     base = dict(
-        n_bs=7,
         rings=1,
         n_ue=1,
         radio=NO_SHADOW,
@@ -42,7 +41,7 @@ def small_cfg(**kw):
 
 
 def one_cell_cfg(**kw):
-    base = dict(n_bs=1, rings=0, n_ue=2, radio=NO_SHADOW, seed=3, **PINNED)
+    base = dict(rings=0, n_ue=2, radio=NO_SHADOW, seed=3, **PINNED)
     base.update(kw)
     return ScenarioConfig(**base)
 
