@@ -37,54 +37,31 @@ class ConflictKind(Enum):
 
 
 @dataclass(frozen=True)
-class ImplicitEvidence:
-    """Counter state backing an implicit conflict report."""
-
-    key: CounterKey
-    count: int
-
-
-@dataclass(frozen=True)
 class ConflictReport:
-    """One detected conflict between an incoming message and stored state.
+    """One detected conflict between a message and stored state.
 
-    Implicit reports have no incoming message; they reference the set of
-    messages accumulated as counter evidence.
+    `conflicting_msg_ids` are the stored counterparts. `shared` holds the
+    names the conflict is about, sorted: the shared parameters (direct),
+    the one shared group (indirect) or the counter's name (implicit, whose
+    counter key is `(sorted xapp_ids, shared[0], target)`).
     """
 
     kind: ConflictKind
-    incoming_msg_id: Optional[int]
     conflicting_msg_ids: Tuple[int, ...]
     xapp_ids: frozenset
     target: ControlTarget
-    shared_parameters: frozenset = frozenset()
-    shared_groups: frozenset = frozenset()
-    evidence: Optional[ImplicitEvidence] = None
+    shared: Tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "conflicting_msg_ids", tuple(self.conflicting_msg_ids))
         object.__setattr__(self, "xapp_ids", frozenset(self.xapp_ids))
+        object.__setattr__(self, "shared", tuple(sorted(self.shared)))
         if not self.conflicting_msg_ids:
             raise ValidationError("a conflict report needs at least one counterpart message")
         if not self.xapp_ids:
             raise ValidationError("a conflict report needs at least one xApp")
-        if self.kind is ConflictKind.DIRECT:
-            if self.incoming_msg_id is None:
-                raise ValidationError("direct reports reference the incoming message")
-            if not self.shared_parameters:
-                raise ValidationError("direct reports need shared parameters")
-            if self.shared_groups:
-                raise ValidationError("direct reports do not carry shared groups")
-        elif self.kind is ConflictKind.INDIRECT:
-            if self.incoming_msg_id is None:
-                raise ValidationError("indirect reports reference the incoming message")
-            if not self.shared_groups:
-                raise ValidationError("indirect reports need shared groups")
-        else:
-            if self.incoming_msg_id is not None:
-                raise ValidationError("implicit reports have no incoming message")
-            if self.evidence is None:
-                raise ValidationError("implicit reports need counter evidence")
+        if not self.shared:
+            raise ValidationError("a conflict report needs at least one shared name")
 
 
 # -- pre-action detection ------------------------------------------------------
@@ -105,11 +82,10 @@ def detect_direct(incoming: ControlRecord, store: SdlStore) -> List[ConflictRepo
             reports.append(
                 ConflictReport(
                     kind=ConflictKind.DIRECT,
-                    incoming_msg_id=incoming.msg_id,
                     conflicting_msg_ids=(old.msg_id,),
                     xapp_ids=frozenset({old.xapp_id, incoming.xapp_id}),
                     target=incoming.target,
-                    shared_parameters=shared,
+                    shared=shared,
                 )
             )
     reports.sort(key=lambda r: r.conflicting_msg_ids[0])
@@ -133,11 +109,10 @@ def detect_indirect(
             reports.append(
                 ConflictReport(
                     kind=ConflictKind.INDIRECT,
-                    incoming_msg_id=incoming.msg_id,
                     conflicting_msg_ids=(old.msg_id,),
                     xapp_ids=frozenset({old.xapp_id, incoming.xapp_id}),
                     target=incoming.target,
-                    shared_groups=frozenset({group_id}),
+                    shared=(group_id,),
                 )
             )
     return reports
@@ -258,7 +233,9 @@ def correlate_implicit(
     `lookback_ms` before the event; a record without a span, the only kind
     the MRO and MLB xApps send, counts until it is superseded, however old
     it is. Each record counts for every parameter it sets and every group
-    it touches. Returns the bumped keys, sorted.
+    it touches. Counters never age: bumps from events any time apart add
+    up until `check_thresholds` reports and resets the counter. Returns the
+    bumped keys, sorted.
     """
     te = event.ts
     lookback = config.lookback_ms
@@ -292,15 +269,14 @@ def check_thresholds(store: SdlStore, threshold: int) -> List[ConflictReport]:
     """
     reports = []
     for ctr in store.counters_over(threshold):
-        xapps, _name, target = ctr.key
+        xapps, name, target = ctr.key
         reports.append(
             ConflictReport(
                 kind=ConflictKind.IMPLICIT,
-                incoming_msg_id=None,
                 conflicting_msg_ids=ctr.msg_ids,
                 xapp_ids=frozenset(xapps),
                 target=target,
-                evidence=ImplicitEvidence(key=ctr.key, count=ctr.count),
+                shared=(name,),
             )
         )
         store.reset_counter(ctr.key)

@@ -367,6 +367,10 @@ def sweep(
 ) -> Tuple[ComparisonTable, List[RunResult]]:
     if not seeds:
         raise ValidationError("sweep needs at least one seed")
+    for what, values in (("seed", seeds), ("mode", modes)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValidationError(f"repeated {what} {repeated[0]!r} would count twice in the means")
     for m in modes:
         policy_for_mode(m)  # validate early
     results: List[RunResult] = []

@@ -60,9 +60,6 @@ class Verdict:
     # set when the block came from the implicit-conflict blocklist
     quarantine_hit: Optional[Tuple[str, str]] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reports", tuple(self.reports))
-
 
 def resolve(
     incoming: ControlRecord,
@@ -81,11 +78,15 @@ def resolve(
 
 @dataclass(frozen=True)
 class ImplicitOutcome:
-    """Result of handling one implicit conflict report."""
+    """Result of handling one implicit conflict report: a block exactly
+    when some xApps were quarantined for the report's (name, target)."""
 
     report: ConflictReport
-    decision: Decision
     quarantined: Tuple[str, ...] = ()
+
+    @property
+    def decision(self) -> Decision:
+        return Decision.BLOCK if self.quarantined else Decision.ALLOW
 
 
 class ConflictPipeline:
@@ -122,9 +123,7 @@ class ConflictPipeline:
         self._quarantine: Dict[Tuple[str, str, ControlTarget], int] = {}
         self.allowed_by_xapp: Counter = Counter()
         self.blocked_by_xapp: Counter = Counter()
-        self.conflicts_by_kind: Counter = Counter(
-            {ConflictKind.DIRECT: 0, ConflictKind.INDIRECT: 0, ConflictKind.IMPLICIT: 0}
-        )
+        self.conflicts_by_kind: Counter = Counter({kind: 0 for kind in ConflictKind})
 
     # -- message path ---------------------------------------------------------
 
@@ -144,14 +143,13 @@ class ConflictPipeline:
 
         Blocked messages leave no trace in the store.
         """
-        now = incoming.ts
         reports: List[ConflictReport] = detect_direct(incoming, self.store)
         groups = self.store.groups_of(incoming)
         reports += detect_indirect(incoming, groups, self.store)
         for rep in reports:
             self.conflicts_by_kind[rep.kind] += 1
 
-        hit = self._quarantine_lookup(incoming, groups, now)
+        hit = self._quarantine_lookup(incoming, groups)
         if hit is not None:
             verdict = Verdict(Decision.BLOCK, tuple(reports), quarantine_hit=hit)
         else:
@@ -169,13 +167,11 @@ class ConflictPipeline:
         return verdict
 
     def _quarantine_lookup(
-        self, incoming: ControlRecord, groups: Sequence[str], now: int
+        self, incoming: ControlRecord, groups: Sequence[str]
     ) -> Optional[Tuple[str, str]]:
-        for stale in [k for k, expiry in self._quarantine.items() if expiry <= now]:
-            del self._quarantine[stale]
-        for name in list(incoming.changes) + list(groups):
-            key = (incoming.xapp_id, name, incoming.target)
-            if key in self._quarantine:
+        for name in [*incoming.changes, *groups]:
+            expiry = self._quarantine.get((incoming.xapp_id, name, incoming.target))
+            if expiry is not None and incoming.ts < expiry:
                 return (incoming.xapp_id, name)
         return None
 
@@ -189,23 +185,14 @@ class ConflictPipeline:
         in a report's key is quarantined for the report's (name, target).
         """
         correlate_implicit(event, self.store, self.implicit_config)
-        reports = check_thresholds(self.store, self.implicit_config.threshold)
+        prio = self.policy.prioritized_xapp
         outcomes = []
-        for rep in reports:
+        for rep in check_thresholds(self.store, self.implicit_config.threshold):
             self.conflicts_by_kind[ConflictKind.IMPLICIT] += 1
-            decision = Decision.ALLOW
-            quarantined: Tuple[str, ...] = ()
-            if self.policy.prioritized_xapp is not None:
-                offenders = sorted(rep.xapp_ids - {self.policy.prioritized_xapp})
-                if offenders:
-                    decision = Decision.BLOCK
-                    name = rep.evidence.key[1]
-                    for xapp in offenders:
-                        self._quarantine[(xapp, name, rep.target)] = (
-                            event.ts + self.quarantine_ms
-                        )
-                    quarantined = tuple(offenders)
-            outcomes.append(ImplicitOutcome(rep, decision, quarantined))
+            offenders = () if prio is None else tuple(sorted(rep.xapp_ids - {prio}))
+            for xapp in offenders:
+                self._quarantine[(xapp, rep.shared[0], rep.target)] = event.ts + self.quarantine_ms
+            outcomes.append(ImplicitOutcome(rep, offenders))
         return outcomes
 
 
@@ -223,14 +210,6 @@ def control_record_to_dict(rec: ControlRecord) -> dict:
     }
 
 
-def _shared_names(report: ConflictReport) -> List[str]:
-    if report.kind is ConflictKind.DIRECT:
-        return sorted(report.shared_parameters)
-    if report.kind is ConflictKind.INDIRECT:
-        return sorted(report.shared_groups)
-    return [report.evidence.key[1]]
-
-
 def verdict_log_line(msg_id: int, verdict: Verdict) -> dict:
     return {
         "msg_id": msg_id,
@@ -241,7 +220,7 @@ def verdict_log_line(msg_id: int, verdict: Verdict) -> dict:
             {
                 "kind": rep.kind.value,
                 "with": list(rep.conflicting_msg_ids),
-                "shared": _shared_names(rep),
+                "shared": list(rep.shared),
             }
             for rep in verdict.reports
         ],

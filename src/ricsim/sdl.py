@@ -155,7 +155,7 @@ def counter_sort_key(key: CounterKey):
 
 @dataclass
 class ImplicitCounter:
-    """Running evidence that a set of xApps keeps degrading the same target."""
+    """How often a set of xApps was seen changing one name on a degraded target."""
 
     key: CounterKey
     count: int = 0

@@ -59,12 +59,12 @@ def _pipeline_reports(messages, defs):
         out.append(
             (
                 {
-                    (r.conflicting_msg_ids[0], r.shared_parameters)
+                    (r.conflicting_msg_ids[0], frozenset(r.shared))
                     for r in reports
                     if r.kind is ConflictKind.DIRECT
                 },
                 {
-                    (next(iter(r.shared_groups)), r.conflicting_msg_ids[0])
+                    (r.shared[0], r.conflicting_msg_ids[0])
                     for r in reports
                     if r.kind is ConflictKind.INDIRECT
                 },
@@ -180,8 +180,7 @@ def test_implicit_detection_scripted_semantics():
     assert report.kind.name == "IMPLICIT"
     assert report.xapp_ids == frozenset({"mro", "mlb"})
     assert report.target == cell
-    assert report.evidence.key == group_key
-    assert report.evidence.count == 3
+    assert (tuple(sorted(report.xapp_ids)), report.shared[0], report.target) == group_key
     assert report.conflicting_msg_ids == (1, 2)
     assert outcomes[0].decision is Decision.ALLOW  # disabled policy
     assert store.get_counter(group_key).count == 0  # reset after reporting

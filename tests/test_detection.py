@@ -67,11 +67,9 @@ def test_direct_conflict_on_shared_parameter():
     assert len(reports) == 1
     rep = reports[0]
     assert rep.kind is ConflictKind.DIRECT
-    assert rep.incoming_msg_id == 2
     assert rep.conflicting_msg_ids == (1,)
     assert rep.xapp_ids == frozenset({"mro", "mlb"})
-    assert rep.shared_parameters == frozenset({"hysteresis"})
-    assert rep.shared_groups == frozenset()
+    assert rep.shared == ("hysteresis",)
 
 
 def test_direct_requires_overlapping_window():
@@ -146,8 +144,7 @@ def test_indirect_conflict_via_shared_group():
     rep = reports[0]
     assert rep.kind is ConflictKind.INDIRECT
     assert rep.conflicting_msg_ids == (1,)
-    assert rep.shared_groups == frozenset({"ho_boundary"})
-    assert rep.shared_parameters == frozenset()
+    assert rep.shared == ("ho_boundary",)
 
 
 def test_indirect_excludes_pairs_already_direct():
@@ -184,12 +181,12 @@ def _pipeline_reports(messages, defs):
         out.append(
             (
                 {
-                    (r.conflicting_msg_ids[0], r.shared_parameters)
+                    (r.conflicting_msg_ids[0], frozenset(r.shared))
                     for r in reports
                     if r.kind is ConflictKind.DIRECT
                 },
                 {
-                    (next(iter(r.shared_groups)), r.conflicting_msg_ids[0])
+                    (r.shared[0], r.conflicting_msg_ids[0])
                     for r in reports
                     if r.kind is ConflictKind.INDIRECT
                 },
@@ -306,7 +303,7 @@ def test_correlate_same_parameter_two_xapps():
 
 
 def test_correlate_group_key_for_distinct_parameters():
-    # distinct raw parameters, same group: evidence keyed by the group
+    # distinct raw parameters, same group: the counter is keyed by the group
     store = SdlStore()
     store.add_parameter_group(HO_GROUP)
     record_with_groups(store, rec(1, ts=8000, xapp="mro", changes={"hysteresis": 2.0}))
@@ -342,6 +339,21 @@ def test_lookback_keeps_records_without_a_span():
     keys = correlate_implicit(degradation(ts=60_000), store, ImplicitConfig(lookback_ms=10_000))
     assert keys == [(("x1", "x2"), "p", cell())]
     assert store.get_counter(keys[0]).count == 1
+
+
+def test_implicit_counters_never_age():
+    # bumps hours apart add up: the third event fires although the first two
+    # came almost three hours before it
+    store = SdlStore()
+    cfg = ImplicitConfig(threshold=3)
+    store.record_control(rec(1, ts=0, xapp="x1", changes={"p": 1.0}, span=None))
+    store.record_control(rec(2, ts=1_000, xapp="x2", changes={"p": 2.0}, span=None))
+    for i, ts in enumerate((10_000, 11_000)):
+        correlate_implicit(degradation(event_id=i + 1, ts=ts), store, cfg)
+        assert check_thresholds(store, cfg.threshold) == []
+    correlate_implicit(degradation(event_id=3, ts=10_000_000), store, cfg)
+    reports = check_thresholds(store, cfg.threshold)
+    assert [(r.conflicting_msg_ids, r.shared, r.target) for r in reports] == [((1, 2), ("p",), cell())]
 
 
 @pytest.mark.parametrize("kwargs", [{"lookback_ms": -5}, {"threshold": 0}])
@@ -392,11 +404,9 @@ def test_check_thresholds_reports_and_resets():
     assert len(reports) == 1
     rep = reports[0]
     assert rep.kind is ConflictKind.IMPLICIT
-    assert rep.incoming_msg_id is None
     assert rep.conflicting_msg_ids == (1, 2)
     assert rep.xapp_ids == frozenset({"x1", "x2"})
-    assert rep.evidence.key == (("x1", "x2"), "p", cell())
-    assert rep.evidence.count == 3
+    assert (rep.shared, rep.target) == (("p",), cell())
     # counter was consumed
     assert store.get_counter(keys[0]).count == 0
     assert check_thresholds(store, cfg.threshold) == []
@@ -410,34 +420,17 @@ def test_check_thresholds_orders_reports_by_key():
         store.bump_counter(k1, msg_ids=(1, 2))
         store.bump_counter(k2, msg_ids=(3, 4))
     reports = check_thresholds(store, 2)
-    assert [r.evidence.key for r in reports] == [k2, k1]
+    assert [(r.shared, r.target) for r in reports] == [(("p1",), cell("c2")), (("p2",), cell("c1"))]
 
 
 def test_conflict_report_invariants():
-    with pytest.raises(ValidationError):
-        ConflictReport(
-            kind=ConflictKind.DIRECT,
-            incoming_msg_id=1,
-            conflicting_msg_ids=(),
-            xapp_ids=frozenset({"a"}),
-            target=cell(),
-            shared_parameters=frozenset({"p"}),
-        )
-    with pytest.raises(ValidationError):
-        ConflictReport(
-            kind=ConflictKind.DIRECT,
-            incoming_msg_id=1,
-            conflicting_msg_ids=(2,),
-            xapp_ids=frozenset({"a", "b"}),
-            target=cell(),
-            shared_parameters=frozenset(),
-        )
-    with pytest.raises(ValidationError):
-        ConflictReport(
-            kind=ConflictKind.INDIRECT,
-            incoming_msg_id=1,
-            conflicting_msg_ids=(2,),
-            xapp_ids=frozenset({"a", "b"}),
-            target=cell(),
-            shared_groups=frozenset(),
-        )
+    # (counterpart ids, shared names): each row leaves one of them empty
+    for msg_ids, shared in [((), ("p",)), ((2,), ())]:
+        with pytest.raises(ValidationError):
+            ConflictReport(
+                kind=ConflictKind.DIRECT,
+                conflicting_msg_ids=msg_ids,
+                xapp_ids=frozenset({"a", "b"}),
+                target=cell(),
+                shared=shared,
+            )

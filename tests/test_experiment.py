@@ -167,6 +167,14 @@ def test_sweep_rejects_empty_seeds():
         sweep(SMALL, seeds=[])
 
 
+def test_sweep_rejects_repeated_seeds_and_modes():
+    # rejected before any run, so nothing is simulated or written
+    with pytest.raises(ValidationError, match="repeated seed 0"):
+        sweep(SMALL, seeds=[0, 1, 0])
+    with pytest.raises(ValidationError, match="repeated mode 'prioritize-mro'"):
+        sweep(SMALL, seeds=[0], modes=("prioritize-mro", "disabled", "prioritize-mro"))
+
+
 def test_policy_mode_mapping():
     assert policy_for_mode("disabled").prioritized_xapp is None
     assert policy_for_mode("prioritize-mro").prioritized_xapp == "mro"
@@ -245,6 +253,8 @@ def test_config_value_of_wrong_type_is_a_validation_error():
         (["sweep", "--modes", "foo", "--seed-list", "0"], "unknown mode"),
         (["sweep", "--modes", "disabled", "--seeds", "0"], "at least one seed"),
         (["sweep", "--modes", "disabled", "--seed-list", "0,x"], "--seed-list"),
+        (["sweep", "--modes", "disabled", "--seed-list", "0,0"], "repeated seed 0"),
+        (["sweep", "--modes", "disabled,disabled", "--seed-list", "0"], "repeated mode 'disabled'"),
     ],
 )
 def test_cli_bad_flag_exits_2(capsys, argv, message):

@@ -1,11 +1,13 @@
 """Resolution policy, pipeline processing order, quarantine, wire formats."""
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from ricsim.detection import ConflictKind, ImplicitConfig
+from detection_oracle import random_stream, replay_pipeline
+from ricsim.detection import ConflictKind, DegradationEvent, ImplicitConfig
 from ricsim.resolution import (
     ConflictPipeline,
     Decision,
@@ -65,11 +67,10 @@ def _dummy_report(incoming):
 
     return ConflictReport(
         kind=ConflictKind.DIRECT,
-        incoming_msg_id=incoming.msg_id,
         conflicting_msg_ids=(1,),
         xapp_ids=frozenset({"mro", "mlb"}),
         target=incoming.target,
-        shared_parameters=frozenset({"hysteresis"}),
+        shared=("hysteresis",),
     )
 
 
@@ -214,6 +215,16 @@ def test_quarantine_expires():
     )
 
 
+def test_quarantine_blocks_by_expiry_not_by_latest_message():
+    # a key blocks while now < expiry, whatever later-stamped message came first
+    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"), quarantine_ms=10_000)
+    bump_to_threshold(pipe, ts=50_000)
+    pipe.process_control_message(rec(10, ts=61_000, xapp="mlb", target=cell("c2"), changes={"cio": -1.0}))
+    v = pipe.process_control_message(rec(11, ts=55_000, xapp="mlb", changes={"cio": -1.0}))
+    assert v.decision is Decision.BLOCK
+    assert v.quarantine_hit == ("mlb", "ho_boundary")
+
+
 def test_disabled_policy_never_quarantines():
     pipe = make_pipeline(ResolutionPolicy.disabled())
     outcomes = bump_to_threshold(pipe, ts=50_000)
@@ -321,3 +332,76 @@ def test_verdict_log_line_names_quarantine_hit():
     pipe.process_control_message(rec(10, ts=55_000, xapp="mlb", changes={"cio": -1.0}))
     assert lines[-1]["decision"] == "block"
     assert lines[-1]["quarantine_hit"] == ["mlb", "ho_boundary"]
+
+
+# -- the whole pipeline against the brute-force oracle ------------------------------
+
+
+def _pipeline_outcomes(stream, defs, prioritized, lookback_ms, threshold, quarantine_ms):
+    # the real pipeline and store, its outcomes in the oracle's plain shape
+    store = SdlStore()
+    for g in defs:
+        store.add_parameter_group(g)
+    pipe = ConflictPipeline(
+        store,
+        ResolutionPolicy(prioritized),
+        implicit_config=ImplicitConfig(lookback_ms=lookback_ms, threshold=threshold),
+        quarantine_ms=quarantine_ms,
+    )
+    out = []
+    for event_id, item in enumerate(stream, 1):
+        if item[0] == "expire":
+            store.expire(item[1])
+            out.append(None)
+        elif item[0] == "message":
+            v = pipe.process_control_message(item[1])
+            direct = [
+                (r.conflicting_msg_ids[0], r.shared)
+                for r in v.reports
+                if r.kind is ConflictKind.DIRECT
+            ]
+            indirect = [
+                (r.shared[0], r.conflicting_msg_ids[0])
+                for r in v.reports
+                if r.kind is ConflictKind.INDIRECT
+            ]
+            out.append((v.decision.value, direct, indirect, v.quarantine_hit))
+        else:
+            _, ts, cell_id = item
+            event = DegradationEvent(event_id, ts, "rlfs", cell_id, 5.0, 0.0, 1.0)
+            out.append(
+                [
+                    (
+                        tuple(sorted(o.report.xapp_ids)),
+                        o.report.shared[0],
+                        (o.report.target.scope.value, o.report.target.id),
+                        o.report.conflicting_msg_ids,
+                        o.decision.value,
+                        o.quarantined,
+                    )
+                    for o in pipe.on_degradation(event)
+                ]
+            )
+    return out
+
+
+def test_pipeline_matches_oracle_on_random_streams():
+    rng = random.Random(20261018)
+    seen = {"direct": 0, "indirect": 0, "implicit": 0, "quarantine_hit": 0, "quarantined": 0}
+    for _ in range(300):
+        stream, defs = random_stream(rng)
+        # lookback, threshold, quarantine
+        settings = (rng.randrange(0, 2100, 100), rng.randint(1, 3), rng.randrange(100, 3100, 100))
+        for prioritized in (None, "x1", "x2"):
+            expected = replay_pipeline(stream, defs, prioritized, *settings)
+            assert _pipeline_outcomes(stream, defs, prioritized, *settings) == expected
+            for got in expected:
+                if isinstance(got, tuple):
+                    seen["direct"] += len(got[1])
+                    seen["indirect"] += len(got[2])
+                    seen["quarantine_hit"] += got[3] is not None
+                elif got:
+                    seen["implicit"] += len(got)
+                    seen["quarantined"] += sum(1 for o in got if o[5])
+    # the streams exercise every path the comparison is meant to cover
+    assert min(seen.values()) > 0, seen
