@@ -16,13 +16,12 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .sdl import (
     ControlRecord,
     ControlTarget,
     CounterKey,
-    ParameterGroupDef,
     Scope,
     SdlStore,
     ValidationError,
@@ -166,7 +165,7 @@ class PerformanceMonitor:
     not it was flagged.
     """
 
-    def __init__(self, window: int = 20, sigma: float = 3.0) -> None:
+    def __init__(self, window: int, sigma: float) -> None:
         if window < 2:
             raise ValidationError("window must hold at least two samples")
         if sigma <= 0:
@@ -215,8 +214,8 @@ class PerformanceMonitor:
 class ImplicitConfig:
     """Correlation lookback and the counter threshold that makes a report."""
 
-    lookback_ms: int = 10_000
-    threshold: int = 3
+    lookback_ms: int
+    threshold: int
 
     def __post_init__(self) -> None:
         if self.lookback_ms < 0 or self.threshold < 1:
@@ -281,20 +280,3 @@ def check_thresholds(store: SdlStore, threshold: int) -> List[ConflictReport]:
         )
         store.reset_counter(ctr.key)
     return reports
-
-
-# -- configuration loading ------------------------------------------------------------
-
-
-def parameter_group_from_dict(entry: Mapping) -> ParameterGroupDef:
-    try:
-        scope = Scope(str(entry["scope"]).lower())
-        return ParameterGroupDef(
-            group_id=entry["group_id"],
-            members=frozenset(entry["members"]),
-            scope=scope,
-        )
-    except KeyError as exc:
-        raise ValidationError(f"parameter group entry missing field {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"bad parameter group entry: {exc}") from exc

@@ -20,13 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .detection import (
-    ImplicitConfig,
-    KpiPoint,
-    PerformanceMonitor,
-    parameter_group_from_dict,
-)
-from .ran.config import ScenarioConfig, config_from_dict, scenario_from_dict
+from .detection import ImplicitConfig, KpiPoint, PerformanceMonitor
+from .ran.config import ScenarioConfig, config_from_dict
 from .ran.world import KPI_NAMES, MEAN_KPIS, build_scenario
 from .resolution import (
     ConflictPipeline,
@@ -35,15 +30,7 @@ from .resolution import (
     control_record_to_dict,
 )
 from .sdl import ParameterGroupDef, Scope, SdlStore, ValidationError
-from .xapps import (
-    MLB_XAPP_ID,
-    MRO_XAPP_ID,
-    MlbConfig,
-    MroConfig,
-    XappConfig,
-    mlb_decide,
-    mro_decide,
-)
+from .xapps import MLB_XAPP_ID, MRO_XAPP_ID, XappConfig, mlb_decide, mro_decide
 
 # mitigation mode -> the xApp it gives the right of way; None lets every
 # message through and is the baseline of a sweep's deltas
@@ -78,6 +65,8 @@ def policy_for_mode(mode: str) -> ResolutionPolicy:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The monitor and pipeline settings of a run; the only place of their defaults."""
+
     monitor_window: int = 20
     monitor_sigma: float = 3.0
     implicit_lookback_ms: int = 10_000
@@ -85,11 +74,14 @@ class PipelineConfig:
     quarantine_ms: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.monitor_window < 2 or self.monitor_sigma <= 0:
-            raise ValidationError("monitor needs window >= 2 and positive sigma")
-        if self.quarantine_ms <= 0:
-            raise ValidationError("quarantine must be positive")
-        self.implicit()  # checks the lookback and the threshold
+        # each component checks its own values
+        PerformanceMonitor(window=self.monitor_window, sigma=self.monitor_sigma)
+        ConflictPipeline(
+            SdlStore(),
+            ResolutionPolicy(),
+            implicit_config=self.implicit(),
+            quarantine_ms=self.quarantine_ms,
+        )
 
     def implicit(self) -> ImplicitConfig:
         return ImplicitConfig(self.implicit_lookback_ms, self.implicit_threshold)
@@ -102,24 +94,21 @@ class ExperimentConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     parameter_groups: Tuple[ParameterGroupDef, ...] = DEFAULT_GROUPS
 
+    def __post_init__(self) -> None:
+        ids = [g.group_id for g in self.parameter_groups]
+        if len(set(ids)) < len(ids):
+            raise ValidationError(f"parameter_groups repeat a group_id: {ids}")
+
 
 def experiment_from_dict(data: Mapping) -> ExperimentConfig:
-    """Build a config from parsed JSON; unknown keys are rejected."""
-    return config_from_dict(
-        ExperimentConfig,
-        data,
-        "config",
-        scenario=scenario_from_dict,
-        xapps=lambda raw: config_from_dict(
-            XappConfig,
-            raw,
-            "xapps",
-            mro=lambda r: config_from_dict(MroConfig, r, "xapps.mro"),
-            mlb=lambda r: config_from_dict(MlbConfig, r, "xapps.mlb"),
-        ),
-        pipeline=lambda raw: config_from_dict(PipelineConfig, raw, "pipeline"),
-        parameter_groups=lambda raw: tuple(parameter_group_from_dict(g) for g in raw),
-    )
+    """Build a config from parsed JSON; unknown keys and the seed are rejected."""
+    scenario = data.get("scenario") if isinstance(data, Mapping) else None
+    if isinstance(scenario, Mapping) and "seed" in scenario:
+        raise ValidationError(
+            "scenario.seed is not a config key: set the seed with --seed "
+            "(--seeds or --seed-list for a sweep)"
+        )
+    return config_from_dict(ExperimentConfig, data, "config")
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

@@ -1,10 +1,11 @@
-"""Scenario configuration with the desk-scale defaults."""
+"""Scenario configuration with the desk-scale defaults, and the JSON loader of every config."""
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Tuple
+from enum import Enum
+from typing import Mapping, Tuple, get_args, get_origin, get_type_hints
 
 from ..sdl import ValidationError
 from .radio import RadioConfig
@@ -22,8 +23,8 @@ class ScenarioConfig:
     rings: int = 2
     isd_m: float = 600.0
     n_ue: int = 380
-    profile_probs: Tuple[float, float, float] = (0.6, 0.3, 0.1)
-    profile_bitrates_mbps: Tuple[float, float, float] = (1.0, 5.0, 20.0)
+    profile_probs: Tuple[float, ...] = (0.6, 0.3, 0.1)
+    profile_bitrates_mbps: Tuple[float, ...] = (1.0, 5.0, 20.0)
 
     duration_ms: int = 1_000_000
     warmup_ms: int = 150_000
@@ -53,27 +54,34 @@ class ScenarioConfig:
     cio_range_db: Tuple[float, float] = (-6.0, 6.0)
     ttt_ladder_ms: Tuple[int, ...] = TTT_LADDER
 
-    cell_id_prefix: str = "bs"
-    ue_id_prefix: str = "ue"
     radio: RadioConfig = field(default_factory=RadioConfig)
 
     def __post_init__(self) -> None:
-        if abs(sum(self.profile_probs) - 1.0) > 1e-9:
-            raise ValidationError("profile probabilities must sum to 1")
+        if any(p < 0 for p in self.profile_probs) or abs(sum(self.profile_probs) - 1.0) > 1e-9:
+            raise ValidationError("profile probabilities must be non-negative and sum to 1")
         if len(self.profile_probs) != len(self.profile_bitrates_mbps):
             raise ValidationError("one bitrate per traffic profile")
-        if self.warmup_ms >= self.duration_ms:
-            raise ValidationError("warmup must end before the run does")
-        if self.tick_ms <= 0 or self.kpi_window_ms % self.tick_ms != 0:
-            raise ValidationError("KPI window must be a whole number of ticks")
+        if not 0 <= self.warmup_ms < self.duration_ms:
+            raise ValidationError("warmup must be >= 0 and end before the run does")
+        if min(self.tick_ms, self.kpi_window_ms) <= 0 or self.kpi_window_ms % self.tick_ms != 0:
+            raise ValidationError("KPI window must be a positive whole number of ticks")
         if self.duration_ms % self.kpi_window_ms != 0:
             raise ValidationError("duration must be a whole number of KPI windows")
         if self.n_ue <= 0 or self.rings < 0:
             raise ValidationError("need at least one UE and rings >= 0")
+        if self.rings + self.area_margin <= 0:
+            raise ValidationError("the area needs rings + area_margin > 0")
         if not 0.0 <= self.vehicle_fraction <= 1.0:
             raise ValidationError("vehicle_fraction must be within [0, 1]")
-        if self.ttt_ladder_ms != tuple(sorted(self.ttt_ladder_ms)):
-            raise ValidationError("ttt ladder must be ascending")
+        for name in ("isd_m", "session_arrival_mean_s", "session_holding_mean_s", "capacity_units"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive")
+        for name in ("hysteresis_range_db", "cio_range_db"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValidationError(f"{name} must be (low, high), got {(lo, hi)}")
+        if not self.ttt_ladder_ms or self.ttt_ladder_ms != tuple(sorted(self.ttt_ladder_ms)):
+            raise ValidationError("ttt_ladder_ms must be non-empty and ascending")
 
     @property
     def n_bs(self) -> int:
@@ -84,37 +92,54 @@ class ScenarioConfig:
         return dataclasses.replace(self, seed=seed)
 
 
-def config_from_dict(cls, data: Mapping, what: str, **convert: Callable):
-    """Build the config dataclass `cls` from a parsed JSON object.
+def config_from_dict(cls, data, what: str):
+    """Build the config dataclass `cls` from a parsed JSON value.
 
-    Unknown keys and values of the wrong type raise a ValidationError that
-    names them. `convert` maps a field name to a function applied to its
-    raw value first.
+    Each field's JSON value is converted by its declared type, recursing
+    into nested config dataclasses. An unknown key or a value of the wrong
+    type raises a ValidationError that names the field by its dotted path
+    under `what`; a missing required field or a failed check of the built
+    dataclass raises one with `what` in front of its message.
     """
     if not isinstance(data, Mapping):
         raise ValidationError(f"{what} must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+        raise ValidationError("unknown field " + ", ".join(f"{what}.{k}" for k in unknown))
+    types = get_type_hints(cls)
+    values = {k: _from_json(types[k], v, f"{what}.{k}") for k, v in data.items()}
     try:
-        return cls(**{k: convert[k](v) if k in convert else v for k, v in data.items()})
-    except TypeError as exc:
-        raise ValidationError(f"bad {what} value: {exc}") from exc
+        return cls(**values)
+    except (TypeError, ValidationError) as exc:  # TypeError: a required field is missing
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
-def scenario_from_dict(data: Mapping) -> ScenarioConfig:
-    """Build a config from a plain dict, rejecting unknown keys and the seed."""
-    if isinstance(data, Mapping) and "seed" in data:
-        raise ValidationError(
-            "scenario.seed is not a config key: set the seed with --seed "
-            "(--seeds or --seed-list for a sweep)"
-        )
-    tuples = ("profile_probs", "profile_bitrates_mbps", "hysteresis_range_db",
-              "cio_range_db", "ttt_ladder_ms")
-    return config_from_dict(
-        ScenarioConfig,
-        data,
-        "scenario",
-        radio=lambda raw: config_from_dict(RadioConfig, raw, "radio"),
-        **{key: tuple for key in tuples},
-    )
+def _from_json(tp, raw, what: str):
+    """`raw` as a value of the declared type `tp`, or a ValidationError."""
+    if dataclasses.is_dataclass(tp):
+        return config_from_dict(tp, raw, what)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        values = [m.value for m in tp]
+        if raw not in values:
+            raise ValidationError(f"{what} must be one of {values}, got {raw!r}")
+        return tp(raw)
+    if tp is frozenset or get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ValidationError(f"{what} must be a JSON list, got {raw!r}")
+        if tp is frozenset:
+            return frozenset(_from_json(str, v, f"{what}[{i}]") for i, v in enumerate(raw))
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(raw)
+        elif len(raw) != len(args):
+            raise ValidationError(f"{what} must list {len(args)} values, got {len(raw)}")
+        return tuple(_from_json(t, v, f"{what}[{i}]") for i, (t, v) in enumerate(zip(args, raw)))
+    # an int field takes JSON integers only, a float field any JSON number
+    accepted, kind = {
+        int: (int, "an integer"),
+        float: ((int, float), "a number"),
+        str: (str, "a string"),
+    }[tp]
+    if isinstance(raw, bool) or not isinstance(raw, accepted):
+        raise ValidationError(f"{what} must be {kind}, got {raw!r}")
+    return raw

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from ..sdl import ValidationError
+
 
 @dataclass(frozen=True)
 class RadioConfig:
@@ -31,6 +33,10 @@ class RadioConfig:
     shadow_corr_m: float = 50.0
     max_spectral_efficiency: float = 6.0
     unit_bandwidth_mbps: float = 0.18
+
+    def __post_init__(self) -> None:
+        if self.shadow_grid_m <= 0:
+            raise ValidationError("shadow_grid_m must be positive")
 
 
 def path_loss_db(d_m: np.ndarray, cfg: RadioConfig) -> np.ndarray:

@@ -25,6 +25,10 @@ from ..sdl import ControlRecord, Scope, ValidationError
 from . import grid, radio
 from .config import ScenarioConfig
 
+# cell and UE ids are the prefix and the index: bs0, bs1, ...; ue0, ue1, ...
+CELL_ID_PREFIX = "bs"
+UE_ID_PREFIX = "ue"
+
 # KPIs a run averages over its windows; the rest are counts it sums
 MEAN_KPIS = ("mean_bs_load", "mean_user_satisfaction")
 KPI_NAMES = (
@@ -73,7 +77,7 @@ class WorldState:
 
         self.bs_pos = grid.hex_grid_positions(cfg.isd_m, cfg.rings)
         self.area = grid.area_vertices(cfg.isd_m, cfg.rings, cfg.area_margin)
-        self.cell_ids = [f"{cfg.cell_id_prefix}{i}" for i in range(cfg.n_bs)]
+        self.cell_ids = [f"{CELL_ID_PREFIX}{i}" for i in range(cfg.n_bs)]
         self.cell_index = {cid: i for i, cid in enumerate(self.cell_ids)}
         self.hysteresis = np.full(cfg.n_bs, cfg.initial_hysteresis_db, dtype=float)
         self.ttt = np.full(cfg.n_bs, cfg.initial_ttt_ms, dtype=np.int64)
@@ -86,7 +90,7 @@ class WorldState:
         self._rng_traffic = np.random.default_rng(s_traffic)
 
         n = cfg.n_ue
-        self.ue_ids = [f"{cfg.ue_id_prefix}{i}" for i in range(n)]
+        self.ue_ids = [f"{UE_ID_PREFIX}{i}" for i in range(n)]
         self.pos = grid.random_points(self.area, n, rng_place)
         self.profile = rng_place.choice(len(cfg.profile_probs), size=n, p=cfg.profile_probs)
         self.target_mbps = np.asarray(cfg.profile_bitrates_mbps, dtype=float)[self.profile]

@@ -42,16 +42,6 @@ class ResolutionPolicy:
         if prio is not None and (not isinstance(prio, str) or not prio):
             raise ValidationError("the prioritized xApp id must be a non-empty string")
 
-    @classmethod
-    def disabled(cls) -> "ResolutionPolicy":
-        return cls()
-
-    @classmethod
-    def prioritize(cls, xapp_id: str) -> "ResolutionPolicy":
-        if xapp_id is None:
-            raise ValidationError("prioritize needs an xApp id")
-        return cls(xapp_id)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -108,15 +98,15 @@ class ConflictPipeline:
         store: SdlStore,
         policy: ResolutionPolicy,
         *,
-        implicit_config: Optional[ImplicitConfig] = None,
-        quarantine_ms: int = 10_000,
+        implicit_config: ImplicitConfig,
+        quarantine_ms: int,
         verdict_sink: Optional[Callable[[dict], None]] = None,
     ) -> None:
         if quarantine_ms <= 0:
             raise ValidationError("quarantine_ms must be positive")
         self.store = store
         self.policy = policy
-        self.implicit_config = implicit_config or ImplicitConfig()
+        self.implicit_config = implicit_config
         self.quarantine_ms = quarantine_ms
         self.verdict_sink = verdict_sink
         # (xapp_id, parameter-or-group name, target) -> blocked while now < expiry

@@ -136,14 +136,6 @@ class ParameterGroupDef:
         object.__setattr__(self, "members", members)
 
 
-def map_parameter_groups(rec: ControlRecord, defs: Iterable[ParameterGroupDef]) -> List[str]:
-    """Ids of the groups in `defs` that `rec` touches: same scope as its
-    target and at least one shared parameter. Sorted for determinism."""
-    params = rec.parameters()
-    hits = [d.group_id for d in defs if d.scope == rec.target.scope and d.members & params]
-    return sorted(hits)
-
-
 # (sorted xapp ids, parameter or group name, target)
 CounterKey = Tuple[Tuple[str, ...], str, ControlTarget]
 
@@ -197,8 +189,15 @@ class SdlStore:
         self._group_defs[group.group_id] = group
 
     def groups_of(self, rec: ControlRecord) -> List[str]:
-        """Ids of the defined groups `rec` touches, sorted."""
-        return map_parameter_groups(rec, self._group_defs.values())
+        """Ids of the defined groups `rec` touches: same scope as its target
+        and at least one shared parameter. Sorted for determinism."""
+        params = rec.parameters()
+        hits = [
+            d.group_id
+            for d in self._group_defs.values()
+            if d.scope == rec.target.scope and d.members & params
+        ]
+        return sorted(hits)
 
     # -- control records ----------------------------------------------------
 

@@ -16,7 +16,13 @@ import pytest
 
 from detection_oracle import random_log, replay_reports
 from passthrough import run_bypassing_ric
-from ricsim.detection import ConflictKind, DegradationEvent, KpiPoint, PerformanceMonitor
+from ricsim.detection import (
+    ConflictKind,
+    DegradationEvent,
+    ImplicitConfig,
+    KpiPoint,
+    PerformanceMonitor,
+)
 from ricsim.experiment import MODES, ExperimentConfig, run, sweep
 from ricsim.resolution import ConflictPipeline, Decision, ResolutionPolicy
 from ricsim.sdl import ControlRecord, ControlTarget, ParameterGroupDef, Scope, SdlStore
@@ -52,7 +58,9 @@ def _pipeline_reports(messages, defs):
     store = SdlStore()
     for g in defs:
         store.add_parameter_group(g)
-    pipeline = ConflictPipeline(store, ResolutionPolicy.disabled())
+    pipeline = ConflictPipeline(
+        store, ResolutionPolicy(), implicit_config=ImplicitConfig(10_000, 3), quarantine_ms=10_000
+    )
     out = []
     for m in messages:
         reports = pipeline.process_control_message(m).reports
@@ -154,7 +162,9 @@ def test_implicit_detection_scripted_semantics():
     store.add_parameter_group(
         ParameterGroupDef("ho_boundary", frozenset({"hysteresis", "ttt", "cio"}), Scope.CELL)
     )
-    pipeline = ConflictPipeline(store, ResolutionPolicy.disabled())
+    pipeline = ConflictPipeline(
+        store, ResolutionPolicy(), implicit_config=ImplicitConfig(10_000, 3), quarantine_ms=10_000
+    )
 
     sent = {
         1: ControlRecord(1, 1000, "mro", cell, {"hysteresis": 4.0}, 5000),

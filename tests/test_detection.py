@@ -28,7 +28,6 @@ from ricsim.sdl import (
     Scope,
     SdlStore,
     ValidationError,
-    map_parameter_groups,
 )
 
 
@@ -48,6 +47,7 @@ def rec(msg_id, ts=0, xapp="x1", target=None, changes=None, span=5000):
 
 
 HO_GROUP = ParameterGroupDef("ho_boundary", frozenset({"hysteresis", "ttt", "cio"}), Scope.CELL)
+IMPLICIT = ImplicitConfig(lookback_ms=10_000, threshold=3)
 
 
 def record_with_groups(store, r):
@@ -110,6 +110,14 @@ def test_detectors_leave_store_untouched():
 # -- group mapping ---------------------------------------------------------------
 
 
+def groups_of(rec, defs):
+    """The groups `rec` touches in a store that defines `defs`."""
+    store = SdlStore()
+    for d in defs:
+        store.add_parameter_group(d)
+    return store.groups_of(rec)
+
+
 def test_map_parameter_groups_by_member_and_scope():
     defs = [
         HO_GROUP,
@@ -117,9 +125,9 @@ def test_map_parameter_groups_by_member_and_scope():
         ParameterGroupDef("ue_grp", frozenset({"hysteresis", "cio"}), Scope.UE),
     ]
     incoming = rec(1, changes={"hysteresis": 1.0})
-    assert map_parameter_groups(incoming, defs) == ["ho_boundary"]
-    assert map_parameter_groups(rec(2, changes={"tx_power": 40.0}), defs) == ["power"]
-    assert map_parameter_groups(rec(3, changes={"unrelated": 1.0}), defs) == []
+    assert groups_of(incoming, defs) == ["ho_boundary"]
+    assert groups_of(rec(2, changes={"tx_power": 40.0}), defs) == ["power"]
+    assert groups_of(rec(3, changes={"unrelated": 1.0}), defs) == []
 
 
 def test_map_parameter_groups_sorted():
@@ -127,7 +135,7 @@ def test_map_parameter_groups_sorted():
         ParameterGroupDef("zeta", frozenset({"p1", "p2"}), Scope.CELL),
         ParameterGroupDef("alpha", frozenset({"p1", "p3"}), Scope.CELL),
     ]
-    assert map_parameter_groups(rec(1, changes={"p1": 0.0}), defs) == ["alpha", "zeta"]
+    assert groups_of(rec(1, changes={"p1": 0.0}), defs) == ["alpha", "zeta"]
 
 
 # -- indirect detection ------------------------------------------------------------
@@ -174,7 +182,9 @@ def _pipeline_reports(messages, defs):
     store = SdlStore()
     for g in defs:
         store.add_parameter_group(g)
-    pipeline = ConflictPipeline(store, ResolutionPolicy.disabled())
+    pipeline = ConflictPipeline(
+        store, ResolutionPolicy(), implicit_config=IMPLICIT, quarantine_ms=10_000
+    )
     out = []
     for m in messages:
         reports = pipeline.process_control_message(m).reports
@@ -214,17 +224,17 @@ def feed(mon, values, kpi="rlfs", cell_id="c1", start=0, step=5000):
 
 
 def test_pmon_quiet_on_steady_stream():
-    mon = PerformanceMonitor(window=20)
+    mon = PerformanceMonitor(window=20, sigma=3.0)
     assert feed(mon, [1.0, 1.2] * 30) == []
 
 
 def test_pmon_needs_full_window():
-    mon = PerformanceMonitor(window=20)
+    mon = PerformanceMonitor(window=20, sigma=3.0)
     assert feed(mon, [0.0] * 19 + [100.0]) == []
 
 
 def test_pmon_flags_step_with_hand_computed_magnitude():
-    mon = PerformanceMonitor(window=20)
+    mon = PerformanceMonitor(window=20, sigma=3.0)
     base = [1.0, 2.0] * 10
     events = feed(mon, base + [50.0])
     assert len(events) == 1
@@ -237,26 +247,26 @@ def test_pmon_flags_step_with_hand_computed_magnitude():
 
 
 def test_pmon_satisfaction_drop_is_adverse():
-    mon = PerformanceMonitor(window=20)
+    mon = PerformanceMonitor(window=20, sigma=3.0)
     base = [0.94, 0.96] * 10
     events = feed(mon, base + [0.2], kpi="mean_user_satisfaction")
     assert len(events) == 1
     expected_z = (statistics.mean(base) - 0.2) / statistics.stdev(base)
     assert events[0].magnitude == pytest.approx(expected_z)
     # an upward move in satisfaction is not a degradation
-    mon2 = PerformanceMonitor(window=20)
+    mon2 = PerformanceMonitor(window=20, sigma=3.0)
     assert feed(mon2, base + [1.0], kpi="mean_user_satisfaction") == []
 
 
 def test_pmon_stdev_floor_keeps_constant_streams_usable():
-    mon = PerformanceMonitor(window=20)
+    mon = PerformanceMonitor(window=20, sigma=3.0)
     events = feed(mon, [1.0] * 20 + [1.5])
     assert len(events) == 1
     assert events[0].magnitude == pytest.approx(0.5 / 1e-6)
 
 
 def test_pmon_rejects_time_going_backwards():
-    mon = PerformanceMonitor(window=20)
+    mon = PerformanceMonitor(window=20, sigma=3.0)
     mon.observe(KpiPoint(ts=1000, kpi_name="rlfs", cell_id="c1", value=1.0))
     with pytest.raises(ValidationError):
         mon.observe(KpiPoint(ts=999, kpi_name="rlfs", cell_id="c1", value=1.0))
@@ -272,8 +282,8 @@ def test_pmon_rejects_nonfinite_value():
 @given(st.lists(st.floats(-100, 100), min_size=0, max_size=60))
 @settings(max_examples=100)
 def test_pmon_deterministic_for_identical_streams(values):
-    a = PerformanceMonitor(window=10)
-    b = PerformanceMonitor(window=10)
+    a = PerformanceMonitor(window=10, sigma=3.0)
+    b = PerformanceMonitor(window=10, sigma=3.0)
     assert feed(a, values) == feed(b, values)
 
 
@@ -296,7 +306,7 @@ def test_correlate_same_parameter_two_xapps():
     store = SdlStore()
     store.record_control(rec(1, ts=8000, xapp="x1", changes={"hysteresis": 2.0}))
     store.record_control(rec(2, ts=9000, xapp="x2", changes={"hysteresis": 4.0}))
-    keys = correlate_implicit(degradation(ts=9500), store, ImplicitConfig())
+    keys = correlate_implicit(degradation(ts=9500), store, IMPLICIT)
     assert keys == [(("x1", "x2"), "hysteresis", cell())]
     ctr = store.get_counter(keys[0])
     assert ctr.count == 1 and ctr.msg_ids == (1, 2)
@@ -308,7 +318,7 @@ def test_correlate_group_key_for_distinct_parameters():
     store.add_parameter_group(HO_GROUP)
     record_with_groups(store, rec(1, ts=8000, xapp="mro", changes={"hysteresis": 2.0}))
     record_with_groups(store, rec(2, ts=9000, xapp="mlb", changes={"cio": -1.0}))
-    keys = correlate_implicit(degradation(ts=9500), store, ImplicitConfig())
+    keys = correlate_implicit(degradation(ts=9500), store, IMPLICIT)
     assert keys == [(("mlb", "mro"), "ho_boundary", cell())]
     # oracle recomputation from the full log: both messages active, both map
     # onto ho_boundary for c1, two distinct xapps -> exactly one group key
@@ -317,7 +327,7 @@ def test_correlate_group_key_for_distinct_parameters():
 
 def test_correlate_honours_lookback():
     store = SdlStore()
-    cfg = ImplicitConfig(lookback_ms=10_000)
+    cfg = IMPLICIT
     store.record_control(rec(1, ts=0, span=1000, xapp="x1", changes={"p": 1.0}))
     store.record_control(rec(2, ts=29_000, span=1000, xapp="x2", changes={"p": 2.0}))
     # msg 1 expired 29s before the event, far past the lookback
@@ -336,7 +346,7 @@ def test_lookback_keeps_records_without_a_span():
     store = SdlStore()
     store.record_control(rec(1, ts=0, xapp="x1", changes={"p": 1.0}, span=None))
     store.record_control(rec(2, ts=1_000, xapp="x2", changes={"p": 2.0}, span=None))
-    keys = correlate_implicit(degradation(ts=60_000), store, ImplicitConfig(lookback_ms=10_000))
+    keys = correlate_implicit(degradation(ts=60_000), store, IMPLICIT)
     assert keys == [(("x1", "x2"), "p", cell())]
     assert store.get_counter(keys[0]).count == 1
 
@@ -345,7 +355,7 @@ def test_implicit_counters_never_age():
     # bumps hours apart add up: the third event fires although the first two
     # came almost three hours before it
     store = SdlStore()
-    cfg = ImplicitConfig(threshold=3)
+    cfg = IMPLICIT
     store.record_control(rec(1, ts=0, xapp="x1", changes={"p": 1.0}, span=None))
     store.record_control(rec(2, ts=1_000, xapp="x2", changes={"p": 2.0}, span=None))
     for i, ts in enumerate((10_000, 11_000)):
@@ -359,21 +369,21 @@ def test_implicit_counters_never_age():
 @pytest.mark.parametrize("kwargs", [{"lookback_ms": -5}, {"threshold": 0}])
 def test_implicit_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):
-        ImplicitConfig(**kwargs)
+        ImplicitConfig(**{"lookback_ms": 10_000, "threshold": 3, **kwargs})
 
 
 def test_correlate_ignores_messages_after_event():
     store = SdlStore()
     store.record_control(rec(1, ts=8000, xapp="x1", changes={"p": 1.0}))
     store.record_control(rec(2, ts=11_000, xapp="x2", changes={"p": 2.0}))
-    assert correlate_implicit(degradation(ts=10_000), store, ImplicitConfig()) == []
+    assert correlate_implicit(degradation(ts=10_000), store, IMPLICIT) == []
 
 
 def test_correlate_requires_two_xapps():
     store = SdlStore()
     store.record_control(rec(1, ts=8000, xapp="x1", changes={"p": 1.0}))
     store.record_control(rec(2, ts=9000, xapp="x1", changes={"p": 2.0}))
-    assert correlate_implicit(degradation(ts=9500), store, ImplicitConfig()) == []
+    assert correlate_implicit(degradation(ts=9500), store, IMPLICIT) == []
 
 
 def test_correlate_looks_only_at_the_degraded_cell():
@@ -381,8 +391,8 @@ def test_correlate_looks_only_at_the_degraded_cell():
     for i, target in enumerate((cell("c2"), ControlTarget(Scope.UE, "c1"))):
         store.record_control(rec(2 * i + 1, ts=8000, xapp="x1", target=target, changes={"p": 1.0}))
         store.record_control(rec(2 * i + 2, ts=9000, xapp="x2", target=target, changes={"p": 2.0}))
-    assert correlate_implicit(degradation(ts=9500, cell_id="c1"), store, ImplicitConfig()) == []
-    assert correlate_implicit(degradation(ts=9500, cell_id="c2"), store, ImplicitConfig()) == [
+    assert correlate_implicit(degradation(ts=9500, cell_id="c1"), store, IMPLICIT) == []
+    assert correlate_implicit(degradation(ts=9500, cell_id="c2"), store, IMPLICIT) == [
         (("x1", "x2"), "p", cell("c2"))
     ]
 
@@ -392,7 +402,7 @@ def test_correlate_looks_only_at_the_degraded_cell():
 
 def test_check_thresholds_reports_and_resets():
     store = SdlStore()
-    cfg = ImplicitConfig(threshold=3)
+    cfg = IMPLICIT
     store.record_control(rec(1, ts=0, span=60_000, xapp="x1", changes={"p": 1.0}))
     store.record_control(rec(2, ts=0, span=60_000, xapp="x2", changes={"p": 2.0}))
     for i in range(3):

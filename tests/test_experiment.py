@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
+from enum import Enum
 
 import pytest
 
@@ -31,13 +33,14 @@ SMALL = ExperimentConfig(
 )
 
 
-def small_json(tmp_path, **extra):
+def small_json(tmp_path, scenario=(), **extra):
     data = {
         "scenario": {
             "rings": 1,
             "n_ue": 60,
             "duration_ms": 60000,
             "warmup_ms": 10000,
+            **dict(scenario),
         },
         **extra,
     }
@@ -238,6 +241,69 @@ def test_config_json_round_trip(tmp_path):
 def test_unknown_config_key_is_a_validation_error(section):
     with pytest.raises(ValidationError, match="bogus"):
         experiment_from_dict(section)
+
+
+def test_every_config_field_round_trips_through_json():
+    cfg = ExperimentConfig()
+    data = dataclasses.asdict(cfg)
+    del data["scenario"]["seed"]
+    text = json.dumps(data, default=lambda v: v.value if isinstance(v, Enum) else sorted(v))
+    assert experiment_from_dict(json.loads(text)) == cfg
+
+
+def test_traffic_profiles_are_not_fixed_at_three():
+    two = {"profile_probs": [0.5, 0.5], "profile_bitrates_mbps": [1.0, 5.0]}
+    assert experiment_from_dict({"scenario": two}).scenario.profile_probs == (0.5, 0.5)
+
+
+GROUP = {"group_id": "ho_boundary", "members": ["hysteresis", "ttt"], "scope": "cell"}
+GROUP0 = "config.parameter_groups[0]"
+
+
+@pytest.mark.parametrize(
+    "section, path",
+    [
+        ({"scenario": {"n_ue": 2.5}}, "config.scenario.n_ue"),
+        ({"scenario": {"rings": 1.5}}, "config.scenario.rings"),
+        ({"scenario": {"kpi_window_ms": 5000.0}}, "config.scenario.kpi_window_ms"),
+        ({"scenario": {"initial_ttt_ms": 480.0}}, "config.scenario.initial_ttt_ms"),
+        ({"scenario": {"ttt_ladder_ms": [40, 64.0]}}, "config.scenario.ttt_ladder_ms[1]"),
+        ({"scenario": {"isd_m": True}}, "config.scenario.isd_m"),
+        ({"pipeline": {"monitor_window": 2.5}}, "config.pipeline.monitor_window"),
+        ({"scenario": {"hysteresis_range_db": [0.0]}}, "config.scenario.hysteresis_range_db"),
+        ({"scenario": {"cio_range_db": "-6,6"}}, "config.scenario.cio_range_db"),
+        ({"parameter_groups": [{**GROUP, "scope": "CELL"}]}, f"{GROUP0}.scope"),
+        ({"parameter_groups": [{**GROUP, "bogus": 1}]}, f"{GROUP0}.bogus"),
+        ({"parameter_groups": [{**GROUP, "members": ["a", 1]}]}, f"{GROUP0}.members[1]"),
+        ({"parameter_groups": [{"group_id": "g", "members": ["a", "b"]}]}, f"{GROUP0}: "),
+        ({"parameter_groups": GROUP}, "config.parameter_groups"),
+        # range checks name the section and the field
+        ({"scenario": {"ttt_ladder_ms": []}}, "config.scenario: ttt_ladder_ms"),
+        ({"scenario": {"session_arrival_mean_s": 0}}, "scenario: session_arrival_mean_s"),
+        ({"scenario": {"session_holding_mean_s": -30.0}}, "scenario: session_holding_mean_s"),
+        ({"scenario": {"hysteresis_range_db": [10, 0]}}, "config.scenario: hysteresis_range_db"),
+        ({"scenario": {"cio_range_db": [6, -6]}}, "config.scenario: cio_range_db"),
+        ({"scenario": {"radio": {"shadow_grid_m": 0.0}}}, "config.scenario.radio: shadow_grid_m"),
+        ({"scenario": {"capacity_units": 0}}, "config.scenario: capacity_units"),
+        ({"scenario": {"kpi_window_ms": 0}}, "config.scenario: KPI window"),
+        ({"scenario": {"warmup_ms": -5000}}, "config.scenario: warmup"),
+        ({"scenario": {"isd_m": 0}}, "config.scenario: isd_m"),
+        ({"scenario": {"rings": 0, "area_margin": 0.0}}, "config.scenario: the area"),
+        (
+            {"scenario": {"profile_probs": [1.5, -0.5], "profile_bitrates_mbps": [1.0, 5.0]}},
+            "config.scenario: profile probabilities",
+        ),
+        ({"pipeline": {"quarantine_ms": -1}}, "config.pipeline: quarantine_ms"),
+        ({"parameter_groups": [GROUP, GROUP]}, "config: parameter_groups"),
+    ],
+)
+def test_malformed_config_names_its_field(tmp_path, capsys, section, path):
+    with pytest.raises(ValidationError, match=re.escape(path)):
+        experiment_from_dict(section)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mode", "disabled", "--config", small_json(tmp_path, **section)])
+    assert exc.value.code == 2
+    assert path in capsys.readouterr().err
 
 
 def test_config_value_of_wrong_type_is_a_validation_error():

@@ -45,10 +45,13 @@ def rec(msg_id, ts=0, xapp="mro", target=None, changes=None, span=5000):
 HO_GROUP = ParameterGroupDef("ho_boundary", frozenset({"hysteresis", "ttt", "cio"}), Scope.CELL)
 
 
-def make_pipeline(policy, **kwargs):
+def make_pipeline(policy, quarantine_ms=10_000, **kwargs):
     store = SdlStore()
     store.add_parameter_group(HO_GROUP)
-    return ConflictPipeline(store, policy, **kwargs)
+    implicit = ImplicitConfig(lookback_ms=10_000, threshold=3)
+    return ConflictPipeline(
+        store, policy, implicit_config=implicit, quarantine_ms=quarantine_ms, **kwargs
+    )
 
 
 # -- policy / resolve ---------------------------------------------------------------
@@ -57,9 +60,10 @@ def make_pipeline(policy, **kwargs):
 def test_policy_validation():
     with pytest.raises(ValidationError):
         ResolutionPolicy(3)
-    assert ResolutionPolicy.prioritize("mro").prioritized_xapp == "mro"
-    assert ResolutionPolicy.disabled().prioritized_xapp is None
-    assert ResolutionPolicy() == ResolutionPolicy.disabled()
+    with pytest.raises(ValidationError):
+        ResolutionPolicy("")
+    assert ResolutionPolicy("mro").prioritized_xapp == "mro"
+    assert ResolutionPolicy().prioritized_xapp is None
 
 
 def _dummy_report(incoming):
@@ -77,12 +81,12 @@ def _dummy_report(incoming):
 def test_resolve_disabled_always_allows():
     incoming = rec(2, xapp="mlb")
     reports = [_dummy_report(incoming)]
-    verdict = resolve(incoming, reports, ResolutionPolicy.disabled())
+    verdict = resolve(incoming, reports, ResolutionPolicy())
     assert (verdict.decision, verdict.reports) == (Decision.ALLOW, tuple(reports))
 
 
 def test_resolve_prioritize_rules():
-    policy = ResolutionPolicy.prioritize("mro")
+    policy = ResolutionPolicy("mro")
     # (sender, with a report, decision)
     table = [
         ("mro", True, Decision.ALLOW),
@@ -94,16 +98,13 @@ def test_resolve_prioritize_rules():
         reports = [_dummy_report(incoming)] if conflicted else []
         verdict = resolve(incoming, reports, policy)
         assert (verdict.decision, verdict.reports) == (decision, tuple(reports))
-    for bad in ("", None):
-        with pytest.raises(ValidationError):
-            ResolutionPolicy.prioritize(bad)
 
 
 # -- pipeline: processing and state ---------------------------------------------------
 
 
 def test_disabled_pipeline_records_both_sides():
-    pipe = make_pipeline(ResolutionPolicy.disabled())
+    pipe = make_pipeline(ResolutionPolicy())
     v1 = pipe.process_control_message(rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.5}))
     v2 = pipe.process_control_message(rec(2, ts=100, xapp="mlb", changes={"cio": -1.0}))
     assert v1.decision is Decision.ALLOW and v2.decision is Decision.ALLOW
@@ -113,7 +114,7 @@ def test_disabled_pipeline_records_both_sides():
 
 
 def test_prioritize_blocks_conflicting_other_xapp():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"))
+    pipe = make_pipeline(ResolutionPolicy("mro"))
     pipe.process_control_message(rec(1, ts=0, xapp="mro"))
     verdict = pipe.process_control_message(rec(2, ts=100, xapp="mlb", changes={"cio": -1.0}))
     assert verdict.decision is Decision.BLOCK
@@ -126,7 +127,7 @@ def test_prioritize_blocks_conflicting_other_xapp():
 
 
 def test_same_xapp_update_supersedes():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"))
+    pipe = make_pipeline(ResolutionPolicy("mro"))
     pipe.process_control_message(rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.0}))
     v = pipe.process_control_message(rec(2, ts=1000, xapp="mro", changes={"hysteresis": 3.5}))
     assert v.decision is Decision.ALLOW and v.reports == ()
@@ -135,7 +136,7 @@ def test_same_xapp_update_supersedes():
 
 
 def test_pipeline_counts_verdicts_and_conflicts():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"))
+    pipe = make_pipeline(ResolutionPolicy("mro"))
     pipe.process_control_message(rec(1, ts=0, xapp="mro"))
     pipe.process_control_message(rec(2, ts=100, xapp="mlb", changes={"cio": -1.0}))
     pipe.process_control_message(rec(3, ts=100, xapp="mlb", target=cell("c2"), changes={"cio": 1.0}))
@@ -147,7 +148,7 @@ def test_pipeline_counts_verdicts_and_conflicts():
 
 def test_verdict_log_lines_schema():
     lines = []
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"), verdict_sink=lines.append)
+    pipe = make_pipeline(ResolutionPolicy("mro"), verdict_sink=lines.append)
     pipe.process_control_message(rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.5, "ttt": 640}))
     pipe.process_control_message(rec(2, ts=100, xapp="mlb", changes={"hysteresis": 1.0}))
     assert lines[0] == {"msg_id": 1, "decision": "allow", "quarantine_hit": None, "conflicts": []}
@@ -181,7 +182,7 @@ def bump_to_threshold(pipe, name="ho_boundary", target=None, xapps=("mlb", "mro"
 
 
 def test_on_degradation_quarantines_non_prioritized():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"), quarantine_ms=10_000)
+    pipe = make_pipeline(ResolutionPolicy("mro"), quarantine_ms=10_000)
     outcomes = bump_to_threshold(pipe, ts=50_000)
     assert len(outcomes) == 1
     out = outcomes[0]
@@ -203,7 +204,7 @@ def test_on_degradation_quarantines_non_prioritized():
 
 
 def test_quarantine_expires():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"), quarantine_ms=10_000)
+    pipe = make_pipeline(ResolutionPolicy("mro"), quarantine_ms=10_000)
     bump_to_threshold(pipe, ts=50_000)
     assert (
         pipe.process_control_message(rec(10, ts=59_999, xapp="mlb", changes={"cio": -1.0})).decision
@@ -217,7 +218,7 @@ def test_quarantine_expires():
 
 def test_quarantine_blocks_by_expiry_not_by_latest_message():
     # a key blocks while now < expiry, whatever later-stamped message came first
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"), quarantine_ms=10_000)
+    pipe = make_pipeline(ResolutionPolicy("mro"), quarantine_ms=10_000)
     bump_to_threshold(pipe, ts=50_000)
     pipe.process_control_message(rec(10, ts=61_000, xapp="mlb", target=cell("c2"), changes={"cio": -1.0}))
     v = pipe.process_control_message(rec(11, ts=55_000, xapp="mlb", changes={"cio": -1.0}))
@@ -226,7 +227,7 @@ def test_quarantine_blocks_by_expiry_not_by_latest_message():
 
 
 def test_disabled_policy_never_quarantines():
-    pipe = make_pipeline(ResolutionPolicy.disabled())
+    pipe = make_pipeline(ResolutionPolicy())
     outcomes = bump_to_threshold(pipe, ts=50_000)
     assert outcomes[0].decision is Decision.ALLOW
     assert outcomes[0].quarantined == ()
@@ -235,7 +236,7 @@ def test_disabled_policy_never_quarantines():
 
 
 def test_quarantine_blocks_raw_parameter_names_too():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mro"), quarantine_ms=10_000)
+    pipe = make_pipeline(ResolutionPolicy("mro"), quarantine_ms=10_000)
     bump_to_threshold(pipe, name="cio", ts=50_000)
     v = pipe.process_control_message(rec(10, ts=55_000, xapp="mlb", changes={"cio": -1.0}))
     assert v.decision is Decision.BLOCK
@@ -258,7 +259,7 @@ def test_control_record_round_trip():
 
 
 def test_verdict_log_line_for_indirect():
-    pipe = make_pipeline(ResolutionPolicy.disabled())
+    pipe = make_pipeline(ResolutionPolicy())
     pipe.process_control_message(rec(1, ts=0, xapp="mro", changes={"hysteresis": 3.5}))
     v = pipe.process_control_message(rec(2, ts=0, xapp="mlb", changes={"cio": -1.0}))
     line = verdict_log_line(2, v)
@@ -283,7 +284,7 @@ def serve_period(pipe, submissions, now):
 @pytest.mark.parametrize("prio", ["mro", "mlb"])
 @pytest.mark.parametrize("mro_first", [True, False])
 def test_prioritized_change_wins_in_either_submission_order(prio, mro_first):
-    pipe = make_pipeline(ResolutionPolicy.prioritize(prio))
+    pipe = make_pipeline(ResolutionPolicy(prio))
     mro = rec(1, xapp="mro", changes={"hysteresis": 4.0}, span=None)
     mlb = rec(2, xapp="mlb", changes={"cio": -1.0}, span=None)
     subs = [mro, mlb] if mro_first else [mlb, mro]
@@ -294,14 +295,14 @@ def test_prioritized_change_wins_in_either_submission_order(prio, mro_first):
 
 
 def test_disabled_serves_in_submission_order():
-    pipe = make_pipeline(ResolutionPolicy.disabled())
+    pipe = make_pipeline(ResolutionPolicy())
     subs = [rec(1, xapp="mlb", changes={"cio": -1.0}), rec(2, xapp="mro")]
     assert pipe.serve_order(subs) == subs
     assert [m.msg_id for m in serve_period(pipe, subs, now=5000)] == [1, 2]
 
 
 def test_open_change_blocks_other_xapp_while_in_force():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mlb"))
+    pipe = make_pipeline(ResolutionPolicy("mlb"))
     serve_period(pipe, [rec(1, xapp="mlb", changes={"cio": -1.0}, span=None)], now=5000)
     # the cio value stays in force period after period, and so does the block
     for k, now in enumerate((10_000, 100_000, 1_000_000)):
@@ -315,7 +316,7 @@ def test_open_change_blocks_other_xapp_while_in_force():
 
 
 def test_change_with_span_blocks_until_it_runs_out():
-    pipe = make_pipeline(ResolutionPolicy.prioritize("mlb"))
+    pipe = make_pipeline(ResolutionPolicy("mlb"))
     serve_period(pipe, [rec(1, xapp="mlb", changes={"cio": -1.0}, span=10_000)], now=0)
     assert serve_period(pipe, [rec(2, xapp="mro")], now=9_000) == []
     pipe.store.expire(10_000)
@@ -326,7 +327,7 @@ def test_change_with_span_blocks_until_it_runs_out():
 def test_verdict_log_line_names_quarantine_hit():
     lines = []
     pipe = make_pipeline(
-        ResolutionPolicy.prioritize("mro"), quarantine_ms=10_000, verdict_sink=lines.append
+        ResolutionPolicy("mro"), quarantine_ms=10_000, verdict_sink=lines.append
     )
     bump_to_threshold(pipe, ts=50_000)
     pipe.process_control_message(rec(10, ts=55_000, xapp="mlb", changes={"cio": -1.0}))

@@ -524,14 +524,6 @@ def test_different_seed_different_trajectory():
     assert fp1 != fp2
 
 
-def test_cell_labels_do_not_affect_dynamics():
-    fp1, ev1 = run_fingerprint(small_cfg(n_ue=60, seed=9, cell_id_prefix="bs"))
-    fp2, ev2 = run_fingerprint(small_cfg(n_ue=60, seed=9, cell_id_prefix="sector-"))
-    assert fp1 == fp2
-    strip = lambda e: {k: v for k, v in e.items() if k not in ("cell", "from", "to")}
-    assert [strip(e) for e in ev1] == [strip(e) for e in ev2]
-
-
 def test_kpi_sample_validation():
     from ricsim.ran.world import KpiSample
 
