@@ -100,10 +100,13 @@ class WorldState:
         self.paused_until = np.zeros(n, dtype=np.int64)
         self.needs_waypoint = np.zeros(n, dtype=bool)
 
-        # shadowing only changes when a UE crosses a ground cell, so rows
-        # are recomputed lazily; the sentinel forces a full first fill
+        # shadowing only changes when a UE crosses a ground cell, so rows are
+        # re-blended lazily, from lattice-corner draws that `_corners` re-hashes
+        # only when a UE enters a new lattice square; the sentinels force a
+        # full first fill
         self._bs_idx = np.arange(cfg.n_bs)
         self._shadow = np.zeros((n, cfg.n_bs))
+        self._corners = radio.ShadowCorners(cfg.seed, self._bs_idx, np.arange(n))
         self._shadow_gx = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
         self._shadow_gy = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
 
@@ -154,7 +157,7 @@ class WorldState:
             if stale.any():
                 rows = np.nonzero(stale)[0]
                 self._shadow[rows] = radio.shadowing_db(
-                    self.cfg.seed, self._bs_idx, rows, self.pos[rows], rcfg
+                    self.cfg.seed, self._bs_idx, rows, self.pos[rows], rcfg, self._corners
                 )
                 self._shadow_gx[rows] = gx[rows]
                 self._shadow_gy[rows] = gy[rows]
@@ -230,10 +233,20 @@ class WorldState:
         linear = 10.0 ** (rsrp / 10.0)
         biased = rsrp + self.cio[None, :]
         self._end_outages(rsrp)
-        self._handover_phase(rsrp, linear, biased, dt)
-        sinr = radio.sinr_db(rsrp, linear, self.serving, cfg.radio.noise_dbm)
+        # a handover changes only its own UE's serving link, so the SINR and
+        # throughput of every other row carry over from before the handovers
+        total = linear.sum(axis=1)
+        noise_dbm = cfg.radio.noise_dbm
+        sinr = radio.sinr_db(rsrp, linear, self.serving, noise_dbm, total)
+        unit_tp = radio.unit_throughput_mbps(sinr, cfg.radio)
+        moved = self._handover_phase(rsrp, linear, total, biased, unit_tp, dt)
+        if len(moved):
+            sinr[moved] = radio.sinr_db(
+                rsrp[moved], linear[moved], self.serving[moved], noise_dbm, total[moved]
+            )
+            unit_tp[moved] = radio.unit_throughput_mbps(sinr[moved], cfg.radio)
         self._rlf_phase(sinr, dt)
-        self._session_phase(sinr)
+        self._session_phase(unit_tp)
 
     def _move(self, dt: int) -> None:
         now = self.now_ms
@@ -254,8 +267,11 @@ class WorldState:
             pauses = self._rng_mob.uniform(0.0, self.cfg.pause_max_s * 1000.0, int(arrive.sum()))
             self.paused_until[arrive] = now + pauses.astype(np.int64)
             self.needs_waypoint[arrive] = True
-        if go.any():
-            self.pos[go] += delta[go] / dist[go, None] * step_m[go, None]
+        # every row is divided, then only moving rows are added; a UE that
+        # sits at its waypoint divides 0 by 0 into a row that is never added
+        with np.errstate(invalid="ignore"):
+            upd = delta / dist[:, None] * step_m[:, None]
+        np.add(self.pos, upd, out=self.pos, where=go[:, None])
 
     def _end_outages(self, rsrp: np.ndarray) -> None:
         back = self.in_outage & (self.outage_until <= self.now_ms)
@@ -269,8 +285,19 @@ class WorldState:
             self.last_ho_from[back] = -1
 
     def _handover_phase(
-        self, rsrp: np.ndarray, linear: np.ndarray, biased: np.ndarray, dt: int
-    ) -> None:
+        self,
+        rsrp: np.ndarray,
+        linear: np.ndarray,
+        total: np.ndarray,
+        biased: np.ndarray,
+        unit_tp: np.ndarray,
+        dt: int,
+    ) -> np.ndarray:
+        """Hand over every UE whose A3 timer expired; returns the UEs moved.
+
+        `total` is each row's summed received power and `unit_tp` each UE's
+        unit throughput on its serving link before any handover.
+        """
         cfg = self.cfg
         n = len(self.pos)
         rows = np.arange(n)
@@ -283,19 +310,20 @@ class WorldState:
         ready = cond & (self.a3_timer >= ttt_ue[:, None])
         movers = np.nonzero(ready.any(axis=1))[0]
         if len(movers) == 0:
-            return
+            return movers
         # a cell must have room for an inbound session at the quality it will
         # actually get there; full cells admit nobody and churn can only drain them
         noise_w = 10.0 ** (cfg.radio.noise_dbm / 10.0)
-        sinr_now = radio.sinr_db(rsrp, linear, self.serving, cfg.radio.noise_dbm)
-        cell_ru, ru_ue = self._demanded_units(radio.unit_throughput_mbps(sinr_now, cfg.radio))
+        cell_ru, ru_ue = self._demanded_units(unit_tp)
+        moved = []
         for ue in movers:
             cands = np.nonzero(ready[ue])[0]
             target = int(cands[np.argmax(biased[ue, cands])])
             source = int(self.serving[ue])
             if self.session_active[ue]:
-                lin = linear[ue]
-                sinr_t = rsrp[ue, target] - 10.0 * np.log10(lin.sum() - lin[target] + noise_w)
+                sinr_t = rsrp[ue, target] - 10.0 * np.log10(
+                    total[ue] - linear[ue, target] + noise_w
+                )
                 tp_t = radio.unit_throughput_mbps(np.asarray([sinr_t]), cfg.radio)[0]
                 need = self.session_demand[ue] / max(float(tp_t), 1e-12)
                 if cell_ru[target] + need > cfg.capacity_units:
@@ -335,6 +363,8 @@ class WorldState:
             self.serving[ue] = target
             self.a3_timer[ue] = 0
             self.rlf_timer[ue] = 0
+            moved.append(ue)
+        return np.asarray(moved, dtype=np.int64)
 
     def _rlf_phase(self, sinr: np.ndarray, dt: int) -> None:
         cfg = self.cfg
@@ -376,7 +406,7 @@ class WorldState:
             self.serving, weights=ru, minlength=self.cfg.n_bs
         ), ru
 
-    def _session_phase(self, sinr: np.ndarray) -> None:
+    def _session_phase(self, unit_tp: np.ndarray) -> None:
         cfg = self.cfg
         now = self.now_ms
         done = self.session_active & (self.session_end <= now)
@@ -393,7 +423,6 @@ class WorldState:
                 }
             )
 
-        unit_tp = radio.unit_throughput_mbps(sinr, cfg.radio)
         draws = self._rng_traffic.random(len(self.pos))
         wants = (draws < self._p_arrival) & ~self.session_active & ~self.in_outage
         if wants.any():

@@ -9,6 +9,7 @@ from ricsim.ran.config import ScenarioConfig
 from ricsim.ran.radio import (
     RadioConfig,
     _node_normals,
+    _ue_hash,
     path_loss_db,
     shadowing_db,
     sinr_db,
@@ -113,7 +114,7 @@ def four_pass_shadowing(seed, bs_idx, ue_idx, ue_pos, cfg):
     for dx in (0, 1):
         for dy in (0, 1):
             w = (tx if dx else 1.0 - tx) * (ty if dy else 1.0 - ty)
-            z = _node_normals(seed, bs_idx, ue_idx, ix + dx, iy + dy)
+            z = _node_normals(_ue_hash(seed, ue_idx), bs_idx, ix + dx, iy + dy)
             acc += w[:, None] * z
             wsq += w * w
     return cfg.shadow_sigma_db * acc / np.sqrt(wsq)[:, None]
@@ -152,6 +153,23 @@ def test_sinr_hand_computed():
     expected = -60.0 - 10 * math.log10(interference_mw)
     assert got == pytest.approx(expected)
     assert got == pytest.approx(9.585, abs=0.01)
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 7, 17, 380])
+def test_row_subset_sinr_and_throughput_equal_full_evaluation(n_rows):
+    world = build_scenario(ScenarioConfig())
+    for _ in range(20):
+        world.step()
+    rsrp = world._rsrp()
+    linear = 10.0 ** (rsrp / 10.0)
+    total = linear.sum(axis=1)
+    noise = CFG.noise_dbm
+    full = sinr_db(rsrp, linear, world.serving, noise, total)
+    assert np.array_equal(full, sinr_db(rsrp, linear, world.serving, noise))
+    rows = np.random.default_rng(n_rows).choice(len(rsrp), n_rows, replace=False)
+    sub = sinr_db(rsrp[rows], linear[rows], world.serving[rows], noise, total[rows])
+    assert np.array_equal(sub, full[rows])
+    assert np.array_equal(unit_throughput_mbps(sub, CFG), unit_throughput_mbps(full, CFG)[rows])
 
 
 def test_unit_throughput_formula_and_cap():

@@ -1,6 +1,7 @@
 """World simulation tests against closed-form and replay oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -496,6 +497,71 @@ def test_apply_control_rejects_bad_input():
                 span=1000,
             )
         )
+
+
+# -- the tick's radio caches ---------------------------------------------------------------
+
+
+def assert_shadow_from_scratch(world):
+    """The world's cached shadowing equals a from-scratch evaluation at its positions."""
+    cfg = world.cfg
+    scratch = radio.shadowing_db(
+        cfg.seed, np.arange(cfg.n_bs), np.arange(cfg.n_ue), world.pos, cfg.radio
+    )
+    assert np.array_equal(world._shadow, scratch)
+
+
+def test_cached_shadowing_equals_scratch_after_ticks_and_teleports():
+    world = build_scenario(ScenarioConfig())
+    for _ in range(300):
+        world.step()
+    assert_shadow_from_scratch(world)
+
+    # into the next ground cell of the same lattice square: no corner is re-hashed
+    rcfg = world.cfg.radio
+    g, corr = rcfg.shadow_grid_m, rcfg.shadow_corr_m
+    gx = np.floor(world.pos[:, 0] / g)
+    ix = np.floor((gx + 0.5) * g / corr)
+    nxt = np.where(np.floor((gx + 1.5) * g / corr) == ix, gx + 1, gx - 1)
+    world.pos[:, 0] = (nxt + 0.5) * g
+    squares = (world._corners.ix.copy(), world._corners.iy.copy())
+    before = world._shadow.copy()
+    world._rsrp()
+    assert np.array_equal(world._corners.ix, squares[0])
+    assert np.array_equal(world._corners.iy, squares[1])
+    assert (world._shadow != before).any(axis=1).all()
+    assert_shadow_from_scratch(world)
+
+    # across lattice squares
+    world.pos[:] = grid.random_points(world.area, len(world.pos), np.random.default_rng(5))
+    world._rsrp()
+    assert not np.array_equal(world._corners.ix, squares[0])
+    assert_shadow_from_scratch(world)
+    for _ in range(50):
+        world.step()
+    assert_shadow_from_scratch(world)
+
+
+@pytest.mark.parametrize(
+    "rcfg", [RadioConfig(shadow_corr_m=10.0), NO_SHADOW], ids=["degenerate-lattice", "zero-sigma"]
+)
+def test_cached_shadowing_equals_scratch_for_special_lattices(rcfg):
+    world = build_scenario(ScenarioConfig(radio=rcfg, n_ue=120))
+    for _ in range(300):
+        world.step()
+    assert_shadow_from_scratch(world)
+
+
+def test_tick_raises_no_floating_point_warning():
+    # a UE paused at its waypoint divides 0 by 0 in the masked position update
+    world = build_scenario(ScenarioConfig())
+    paused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(200):
+            world.step()
+            paused += int(world.needs_waypoint.sum())
+    assert paused > 0
 
 
 # -- determinism ---------------------------------------------------------------------------
